@@ -37,12 +37,7 @@ from typing import Any, Callable
 
 from repro.checkpoint.store import CheckpointStore, as_store, fingerprint
 from repro.engine.output import Match
-from repro.errors import (
-    CheckpointError,
-    ConfigurationError,
-    DeadlineExceededError,
-    ReproError,
-)
+from repro.errors import CheckpointError, ConfigurationError
 
 #: ``kind`` tags distinguishing checkpoint flavours; resuming a run with
 #: a checkpoint of a different kind is an error, not a silent restart.
@@ -300,7 +295,7 @@ def checkpointed_recovery(
     (nothing decodes them); leave the default when you need the
     ``UndecodableMatch`` failure class.
     """
-    from repro.resilience.recovery import RecordFailure, RecoveryResult
+    from repro.resilience.recovery import RecordFailure, RecoveryResult, run_record
 
     if checkpoint_every < 1:
         raise ConfigurationError("checkpoint_every must be at least 1")
@@ -322,32 +317,16 @@ def checkpointed_recovery(
             if stop is not None and stop(i):
                 interrupted = True
                 break
-            skipped_counter = None
-            try:
-                matches = engine.run(stream.record(i))
-                # The eager path decodes here (and can fail per record);
-                # the lazy path carries views straight to the emitter.
-                values[i] = matches.values() if materialize else matches
-            except ReproError as exc:
-                failure = RecordFailure.from_exception(i, exc)
-                ck.failures.append(failure)
-                skipped_counter = failure.error
-                if isinstance(exc, DeadlineExceededError):
-                    ck.aborted = True
-                if max_failures is not None and len(ck.failures) >= max_failures:
-                    ck.aborted = True
-            except ValueError as exc:
-                failure = RecordFailure(i, "error", "UndecodableMatch", str(exc))
-                ck.failures.append(failure)
-                skipped_counter = failure.error
-                if max_failures is not None and len(ck.failures) >= max_failures:
-                    ck.aborted = True
-            if metrics is not None and skipped_counter is not None:
-                metrics.counter("stream.records_skipped", error=skipped_counter).add(1)
-            staged = values[i]
-            if staged is not None and not materialize:
-                staged = list(staged)
-            ck.stage(i, staged)
+            item = run_record(engine, stream.record(i), i, materialize=materialize)
+            if isinstance(item, RecordFailure):
+                ck.failures.append(item)
+                ck.aborted = item.aborts(len(ck.failures), max_failures)
+                if metrics is not None:
+                    metrics.counter("stream.records_skipped", error=item.error).add(1)
+            else:
+                # Lazy views go straight to the emitter, spliced raw.
+                values[i] = item
+                ck.stage(i, item if materialize else list(item))
             ck.cursor = i + 1
             since_commit += 1
             if ck.aborted:

@@ -158,15 +158,17 @@ def run_records_pool(
 
 
 def _run_batch_resilient(
-    query: str, records: list[bytes], inject_faults: bool = False, limits=None
-) -> list[tuple]:
+    query: str, batch: _Batch, inject_faults: bool = False, limits=None
+) -> list:
     """Worker: evaluate each record, capturing per-record failures.
 
-    Returns one tuple per record: ``("ok", values)`` or
-    ``("err", error_class_name, message, position)``.  A record that
-    merely raises stays a data point instead of a process casualty — only
-    genuine interpreter/OS death (or the injected fault sentinels used by
-    the tests) takes the worker down.
+    Returns, per record, its match values or the
+    :class:`~repro.resilience.recovery.RecordFailure` of
+    :func:`~repro.resilience.recovery.run_record`, indexed from
+    ``batch.start``.  A record that merely raises stays a data point
+    instead of a process casualty — only genuine interpreter/OS death
+    (or the injected fault sentinels used by the tests) takes the
+    worker down.
 
     ``limits`` (a :class:`repro.resilience.Limits`, pickled across the
     process boundary; ``Deadline`` anchors to ``CLOCK_MONOTONIC``, which
@@ -180,13 +182,13 @@ def _run_batch_resilient(
 
         from repro.resilience.faults import CRASH_SENTINEL, HANG_SENTINEL, HANG_SECONDS
 
-        for record in records:
+        for record in batch.records:
             if record == CRASH_SENTINEL:
                 os._exit(1)  # simulated hard crash: no exception, no cleanup
             if record == HANG_SENTINEL:
                 time.sleep(HANG_SECONDS)
-    from repro.errors import ReproError
     from repro.registry import compile as compile_engine
+    from repro.resilience.recovery import run_record
 
     if limits is not None:
         # Guarded runs skip the per-process cache: the deadline differs
@@ -197,15 +199,7 @@ def _run_batch_resilient(
             _WORKER_ENGINE = compile_engine(query)
             _WORKER_QUERY = query
         engine = _WORKER_ENGINE
-    out: list[tuple] = []
-    for record in records:
-        try:
-            out.append(("ok", engine.run(record).values()))
-        except ReproError as exc:
-            out.append(("err", type(exc).__name__, str(exc), getattr(exc, "position", None)))
-        except ValueError as exc:
-            out.append(("err", "UndecodableMatch", str(exc), None))
-    return out
+    return [run_record(engine, record, batch.start + i) for i, record in enumerate(batch.records)]
 
 
 @dataclass
@@ -357,19 +351,16 @@ def run_records_pool_resilient(
     n = len(records)
     result = PoolResult(values=[None] * n)
 
-    def harvest(start: int, out: list[tuple]) -> None:
+    def harvest(start: int, out: list) -> None:
         for offset, item in enumerate(out):
-            idx = start + offset
-            if item[0] == "ok":
-                result.values[idx] = item[1]
+            if isinstance(item, RecordFailure):
+                result.failures.append(item)
             else:
-                result.failures.append(
-                    RecordFailure(idx, "error", item[1], item[2], item[3])
-                )
+                result.values[start + offset] = item
 
     use_pool = inject_faults or n_workers > 1
     if not use_pool:
-        harvest(0, _run_batch_resilient(query, records, limits=limits))
+        harvest(0, _run_batch_resilient(query, _Batch(0, records), limits=limits))
     else:
         pending: deque[_Batch] = deque(
             _Batch(i, records[i : i + batch_size])
@@ -397,16 +388,21 @@ def run_records_pool_resilient(
                     pool = ProcessPoolExecutor(max_workers=max(1, n_workers))
                 # Submit every pending batch so healthy workers stay busy;
                 # collect in order so a broken pool is noticed deterministically.
-                inflight = [
-                    (
-                        batch,
-                        pool.submit(
-                            _run_batch_resilient, query, batch.records, inject_faults, limits
-                        ),
-                    )
-                    for batch in pending
-                ]
-                pending.clear()
+                inflight = []
+                while pending:
+                    try:
+                        future = pool.submit(
+                            _run_batch_resilient, query, pending[0], inject_faults, limits
+                        )
+                    except BrokenProcessPool:
+                        # A worker died before every batch was handed out: the
+                        # batches in flight report the crash, the rest stay
+                        # pending for a fresh pool.
+                        if not inflight:
+                            _kill_pool(pool)
+                            pool = None
+                        break
+                    inflight.append((pending.popleft(), future))
                 for pos, (batch, future) in enumerate(inflight):
                     try:
                         harvest(batch.start, future.result(timeout=timeout))
@@ -483,7 +479,7 @@ def _isolated_trial(query: str, batch: _Batch, timeout, inject_faults, harvest, 
     """
     trial = ProcessPoolExecutor(max_workers=1)
     try:
-        future = trial.submit(_run_batch_resilient, query, batch.records, inject_faults, limits)
+        future = trial.submit(_run_batch_resilient, query, batch, inject_faults, limits)
         out = future.result(timeout=timeout)
     except (BrokenProcessPool, FutureTimeoutError, OSError):
         return False

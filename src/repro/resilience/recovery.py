@@ -47,6 +47,41 @@ class RecordFailure:
             position=getattr(exc, "position", None),
         )
 
+    def aborts(self, failures: int, max_failures: int | None) -> bool:
+        """Whether this failure, the ``failures``-th of its run, ends the run.
+
+        An expired deadline is a property of the whole run, not of one
+        record; ``max_failures`` caps how many records a run may skip.
+        """
+        return self.error == "DeadlineExceededError" or (
+            max_failures is not None and failures >= max_failures
+        )
+
+
+def run_record(engine, record, index: int, *, materialize: bool = True):
+    """Run ``engine`` on one record: its values, or one :class:`RecordFailure`.
+
+    This is the one per-record step of every record runner — the serial
+    and checkpointed runners, the pool worker and the query service —
+    and the whole per-record failure taxonomy lives here: a
+    :class:`~repro.errors.ReproError` becomes
+    :meth:`RecordFailure.from_exception`, and a ``ValueError`` (the
+    engine tolerated a skip-region malformation, but the matched slice
+    does not decode) becomes ``UndecodableMatch``.  ``index`` is the
+    record's position in its stream, carried into the failure.
+
+    ``materialize=False`` returns the lazy
+    :class:`~repro.engine.output.MatchList` instead of decoded values;
+    nothing decodes then, so ``UndecodableMatch`` cannot occur.
+    """
+    try:
+        matches = engine.run(record)
+        return matches.values() if materialize else matches
+    except ReproError as exc:
+        return RecordFailure.from_exception(index, exc)
+    except ValueError as exc:
+        return RecordFailure(index, "error", "UndecodableMatch", str(exc))
+
 
 @dataclass
 class RecoveryResult:
@@ -137,7 +172,6 @@ def run_with_recovery(
     ``UndecodableMatch`` failure class disappears in this mode, since
     nothing decodes the matched slices.
     """
-    from repro.errors import DeadlineExceededError
     from repro.jsonpath.ast import Path
 
     if isinstance(engine, (str, Path)):
@@ -168,29 +202,15 @@ def run_with_recovery(
         if aborted:
             values.append(None)
             continue
-        try:
-            matches = engine.run(stream.record(i))
-            values.append(matches.values() if materialize else matches)
-        except ReproError as exc:
-            failure = RecordFailure.from_exception(i, exc)
-            failures.append(failure)
+        item = run_record(engine, stream.record(i), i, materialize=materialize)
+        if isinstance(item, RecordFailure):
+            failures.append(item)
             values.append(None)
             if metrics is not None:
-                metrics.counter("stream.records_skipped", error=failure.error).add(1)
-            if isinstance(exc, DeadlineExceededError):
-                aborted = True
-            if max_failures is not None and len(failures) >= max_failures:
-                aborted = True
-        except ValueError as exc:
-            # run() tolerated a skip-region malformation but the matched
-            # slice is undecodable; treat like a diagnosed bad record.
-            failure = RecordFailure(i, "error", "UndecodableMatch", str(exc))
-            failures.append(failure)
-            values.append(None)
-            if metrics is not None:
-                metrics.counter("stream.records_skipped", error=failure.error).add(1)
-            if max_failures is not None and len(failures) >= max_failures:
-                aborted = True
+                metrics.counter("stream.records_skipped", error=item.error).add(1)
+            aborted = item.aborts(len(failures), max_failures)
+        else:
+            values.append(item)
     if metrics is not None:
         metrics.counter("stream.records_ok").add(
             sum(1 for v in values if v is not None)
@@ -198,4 +218,10 @@ def run_with_recovery(
     return RecoveryResult(values=values, failures=failures)
 
 
-__all__ = ["RecordFailure", "RecoveryResult", "run_with_recovery", "ResourceLimitError"]
+__all__ = [
+    "RecordFailure",
+    "RecoveryResult",
+    "run_record",
+    "run_with_recovery",
+    "ResourceLimitError",
+]

@@ -40,6 +40,7 @@ from typing import Any, Callable
 from repro.errors import DeadlineExceededError, ReproError
 from repro.observe import MetricsRegistry, render_prometheus
 from repro.resilience.guards import DEFAULT_MAX_DEPTH, Limits
+from repro.resilience.recovery import RecordFailure, run_record
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.drain import DrainCoordinator
@@ -393,6 +394,10 @@ class QueryService:
         budget = min(budget, self.config.max_budget)
         if offset < 0:
             raise BadRequestError('"offset" cannot be negative')
+        if workers >= 1 and corpus.format == "json":
+            raise BadRequestError(
+                '"workers" needs a record corpus: a json corpus is a single record'
+            )
         checkpoint = body.get("checkpoint")
         if checkpoint is not None:
             if self.config.checkpoint_dir is None:
@@ -435,84 +440,41 @@ class QueryService:
         prepared = self.registry.compile(
             spec["query"], engine=spec["engine"], limits=run_limits
         )
-        stream = NdjsonStream(writer, self.config.client_timeout)
+        records = corpus.records_for(mode, prepared)
 
-        if corpus.format == "json":
-            # Single document: run over the shared stage-1 index.
-            try:
-                # corpus.indexed() may run the stage-1 build plus the
-                # sidecar's flock/mmap dance on a cold cache — disk I/O
-                # that belongs on the executor, not the loop thread.
-                values = await loop.run_in_executor(
-                    self.executor,
-                    lambda: prepared.run(corpus.indexed(prepared)).values(),
-                )
-            except ReproError as exc:
-                await stream.start()
-                await stream.finish(
-                    {"error": type(exc).__name__, "message": str(exc), "index": 0}
-                )
-                return self._classify_error(exc)
-            await stream.start()
-            await stream.send_line({"index": 0, "values": values})
-            await stream.finish(
-                {"done": True, "records": 1, "emitted": len(values),
-                 "skipped": 0, "mode": mode}
-            )
-            return "served"
+        def run_batch(batch: range) -> list:
+            # Executor side: reading a json corpus's one record may build
+            # its stage-1 index or take the sidecar's flock and mmap.
+            return [run_record(prepared, records.record(j), j) for j in batch]
 
-        records = corpus.records_for(mode)
         n = len(records)
         i = min(spec["offset"], n)
-        emitted = 0
-        skipped = 0
-        await stream.start()
+        lines = _RecordLines(NdjsonStream(writer, self.config.client_timeout))
+        await lines.stream.start()
         while i < n:
             if self.drain.interrupting:
-                await stream.finish(
-                    {"interrupted": True, "next_index": i,
-                     "emitted": emitted, "skipped": skipped}
-                )
+                await lines.interrupted(i)
                 return "interrupted"
             remaining = run_limits.remaining()
             if remaining is not None and remaining <= 0:
-                await stream.finish(
-                    {"error": "DeadlineExceededError",
-                     "message": "request budget exhausted mid-stream",
-                     "index": i, "emitted": emitted}
+                await lines.error(
+                    "DeadlineExceededError", "request budget exhausted mid-stream", i
                 )
                 return "served"  # the *client's* budget, not corpus health
-            batch_end = min(n, i + self.config.batch_size)
-            out = await loop.run_in_executor(
-                self.executor, _run_record_batch, prepared, records, i, batch_end
-            )
-            for j, item in zip(range(i, batch_end), out):
-                if item[0] == "ok":
-                    await stream.send_line({"index": j, "values": item[1]})
-                    emitted += len(item[1])
-                else:
-                    _tag, error, message = item
-                    if error == "DeadlineExceededError":
-                        await stream.finish(
-                            {"error": error, "message": message,
-                             "index": j, "emitted": emitted}
-                        )
-                        return "served"
-                    if mode == "strict":
-                        await stream.finish(
-                            {"error": error, "message": message,
-                             "index": j, "emitted": emitted}
-                        )
-                        return "failed"
-                    skipped += 1
-                    await stream.send_line({"index": j, "skipped": error})
-            i = batch_end
-        await stream.finish(
-            {"done": True, "records": n, "emitted": emitted,
-             "skipped": skipped, "mode": mode}
-        )
+            batch = range(i, min(n, i + self.config.batch_size))
+            out = await loop.run_in_executor(self.executor, run_batch, batch)
+            for j, item in zip(batch, out):
+                if isinstance(item, RecordFailure):
+                    deadline = item.error == "DeadlineExceededError"
+                    if deadline or mode == "strict":
+                        await lines.error(item.error, item.message, j)
+                        return "served" if deadline else "failed"
+                await lines.send(j, item)
+            i = batch.stop
+        await lines.done(n, mode)
         # A lenient pass that salvaged nothing is still a failing corpus.
-        if skipped and emitted == 0 and skipped * 2 >= (n - min(spec["offset"], n)):
+        skipped = lines.skipped
+        if skipped and lines.emitted == 0 and skipped * 2 >= (n - min(spec["offset"], n)):
             return "failed"
         return "served"
 
@@ -559,57 +521,62 @@ class QueryService:
                 stop=(lambda cursor: drain.interrupting) if ck_path is not None else None,
             )
 
-        stream = NdjsonStream(writer, self.config.client_timeout)
+        lines = _RecordLines(NdjsonStream(writer, self.config.client_timeout))
         try:
             result = await loop.run_in_executor(self.executor, run_pool)
         except ReproError as exc:
-            await stream.start()
-            await stream.finish(
-                {"error": type(exc).__name__, "message": str(exc), "index": 0}
-            )
-            return self._classify_error(exc)
-        await stream.start()
-        emitted = 0
+            await lines.stream.start()
+            await lines.error(type(exc).__name__, str(exc), 0)
+            # Deadline errors are the client's budget; the rest vote failure.
+            return "served" if isinstance(exc, DeadlineExceededError) else "failed"
+        await lines.stream.start()
+        failures = {failure.index: failure for failure in result.failures}
         for idx, values in enumerate(result.values):
-            if values is not None:
-                await stream.send_line({"index": idx, "values": values})
-                emitted += len(values)
-        for failure in result.failures:
-            await stream.send_line(
-                {"index": failure.index, "skipped": failure.error}
-            )
+            item = values if values is not None else failures.get(idx)
+            if item is not None:
+                await lines.send(idx, item)
         info = result.checkpoint
         if info is not None and info.interrupted:
-            await stream.finish(
-                {"interrupted": True, "next_index": "checkpointed",
-                 "emitted": emitted, "skipped": len(result.failures),
-                 "checkpointed": True}
-            )
+            await lines.interrupted("checkpointed", checkpointed=True)
             return "interrupted"
-        await stream.finish(
-            {"done": True, "records": len(result.values), "emitted": emitted,
-             "skipped": len(result.failures), "mode": mode,
-             "worker_crashes": result.worker_crashes}
-        )
+        await lines.done(len(result.values), mode, worker_crashes=result.worker_crashes)
         if result.failures and result.records_ok == 0:
             return "failed"
         return "served"
 
-    @staticmethod
-    def _classify_error(exc: ReproError) -> str:
-        """Deadline errors are the client's budget; the rest vote failure."""
-        return "served" if isinstance(exc, DeadlineExceededError) else "failed"
 
+class _RecordLines:
+    """One response's per-record NDJSON lines, sent in record order, and
+    the ``emitted``/``skipped`` counts its terminator reports."""
 
-def _run_record_batch(prepared, records, start: int, stop: int) -> list[tuple]:
-    """Executor-side: evaluate one batch, capturing per-record errors."""
-    out: list[tuple] = []
-    for j in range(start, stop):
-        record = records.record(j)
-        try:
-            out.append(("ok", prepared.run(record).values()))
-        except ReproError as exc:
-            out.append(("err", type(exc).__name__, str(exc)))
-        except ValueError as exc:
-            out.append(("err", "UndecodableMatch", str(exc)))
-    return out
+    def __init__(self, stream: NdjsonStream) -> None:
+        self.stream = stream
+        self.emitted = 0
+        self.skipped = 0
+
+    async def send(self, index: int, item) -> None:
+        """A record's ``values`` line, or its ``skipped`` line for a
+        :class:`~repro.resilience.recovery.RecordFailure`."""
+        if isinstance(item, RecordFailure):
+            self.skipped += 1
+            await self.stream.send_line({"index": index, "skipped": item.error})
+        else:
+            self.emitted += len(item)
+            await self.stream.send_line({"index": index, "values": item})
+
+    async def done(self, records: int, mode: str, **extra) -> None:
+        await self.stream.finish(
+            {"done": True, "records": records, "emitted": self.emitted,
+             "skipped": self.skipped, "mode": mode, **extra}
+        )
+
+    async def interrupted(self, next_index, **extra) -> None:
+        await self.stream.finish(
+            {"interrupted": True, "next_index": next_index,
+             "emitted": self.emitted, "skipped": self.skipped, **extra}
+        )
+
+    async def error(self, error: str, message: str, index: int) -> None:
+        await self.stream.finish(
+            {"error": error, "message": message, "index": index, "emitted": self.emitted}
+        )

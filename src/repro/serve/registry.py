@@ -67,15 +67,28 @@ class Corpus:
             self.lenient_stream, self.lenient_skipped = (
                 RecordStream.from_concatenated_lenient(self.payload)
             )
-        # "json": one document, no record stream — served via the cached
-        # IndexedBuffer below.
+        else:  # "json": one document is a one-record stream
+            self.stream = RecordStream(self.payload, [(0, len(self.payload))])
+            self.lenient_stream = self.stream
 
     @property
     def records(self) -> int:
-        return 1 if self.format == "json" else len(self.stream)
+        return len(self.stream)
 
-    def records_for(self, mode: str) -> RecordStream:
-        """The record view a request running in ``mode`` should stream."""
+    # _IndexedDocument leads the union so RS012 follows record() into the
+    # sidecar lock if a loop-side caller ever reads it.
+    def records_for(
+        self, mode: str, prepared: PreparedQuery | None = None
+    ) -> _IndexedDocument | RecordStream:
+        """The record view a request running in ``mode`` should stream.
+
+        Given the request's ``prepared`` engine, a ``json`` corpus's one
+        record is its shared stage-1 index (:meth:`indexed`), resolved
+        when the record is read — which may build the index or take the
+        sidecar's flock and mmap, so read it on the executor.
+        """
+        if self.format == "json" and prepared is not None:
+            return _IndexedDocument(self, prepared)
         return self.lenient_stream if mode == "lenient" else self.stream
 
     def indexed(self, prepared: PreparedQuery) -> IndexedBuffer:
@@ -105,6 +118,20 @@ class Corpus:
                     cached = prepared.index(self.payload)
                 self._indexes[mode] = cached
             return cached
+
+
+class _IndexedDocument:
+    """A ``json`` corpus as a one-record stream for one engine."""
+
+    def __init__(self, corpus: Corpus, prepared: PreparedQuery) -> None:
+        self.corpus = corpus
+        self.prepared = prepared
+
+    def __len__(self) -> int:
+        return 1
+
+    def record(self, i: int) -> IndexedBuffer:
+        return self.corpus.indexed(self.prepared)
 
 
 class CorpusRegistry:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +120,23 @@ class TestAssembly:
         total = sum(len(u) + 1 for u in units)
         assert total >= 10_000
         assert total - len(units[-1]) - 1 < 10_000  # no overshoot beyond one unit
+
+    def test_generation_identical_across_hash_seeds(self):
+        # str hashing is salted per process; generation must not be.
+        src = str(Path(ds.__file__).resolve().parents[2])
+        script = (
+            "import hashlib; from repro.data.datasets import large_record; "
+            "print(hashlib.sha256(large_record('TT', 20_000, seed=3)).hexdigest())"
+        )
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            )
+            digests.add(out.stdout.strip())
+        assert digests == {hashlib.sha256(ds.large_record("TT", 20_000, seed=3)).hexdigest()}
 
     def test_large_record_wrappers(self):
         assert ds.large_record("TT", 3_000, seed=1).startswith(b"[")

@@ -92,6 +92,31 @@ def test_pool_resilient_clean_run_matches_plain_pool():
 
 
 @pytest.mark.fuzz_smoke
+def test_pool_survives_worker_death_mid_submission(monkeypatch):
+    """A batch can crash its worker before the pool has been handed every
+    batch; ``submit`` then raises BrokenProcessPool, which must be
+    handled like any other crash instead of escaping the run."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.parallel import real_pool
+
+    submissions = []
+
+    class DiesOnSecondSubmit(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submissions.append(1)
+            if len(submissions) == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(real_pool, "ProcessPoolExecutor", DiesOnSecondSubmit)
+    stream = RecordStream.from_records([json.dumps({"a": i}).encode() for i in range(6)])
+    result = run_records_pool_resilient("$.a", stream, n_workers=2, batch_size=2, backoff=0)
+    assert result.ok and result.values == [[i] for i in range(6)]
+
+
+@pytest.mark.fuzz_smoke
 def test_kill_resume_contract_on_hostile_corpus(tmp_path):
     """The checkpoint contract on a mutated (partly malformed) stream:
     interrupt anywhere, resume, byte-identical output and identical

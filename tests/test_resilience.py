@@ -202,6 +202,47 @@ class TestRecovery:
         assert len(result.failures) == 3
 
 
+
+# One good record, one the engine rejects, one whose match will not decode.
+MIXED_RECORDS = [b'{"a": 1}', b'{"a": ', b'{"a": [1,,2], "b": 1}']
+
+
+def _plain(stream, tmp_path):
+    return run_with_recovery("$.a", stream)
+
+
+def _checkpointed(stream, tmp_path):
+    return run_with_recovery("$.a", stream, checkpoint=tmp_path / "run.ckpt")
+
+
+def _pool(stream, tmp_path):
+    from repro.parallel import run_records_pool_resilient
+
+    # Two worker processes: failures travel back pickled.
+    return run_records_pool_resilient("$.a", stream, n_workers=2, batch_size=2, backoff=0)
+
+
+class TestSharedRecordStep:
+    @pytest.mark.parametrize("runner", [_plain, _checkpointed, _pool])
+    def test_every_runner_reports_the_same_failures(self, runner, tmp_path):
+        result = runner(RecordStream.from_records(MIXED_RECORDS), tmp_path)
+        assert result.values[0] == [1]
+        assert [(f.index, f.kind, f.error, f.position) for f in result.failures] == [
+            (1, "error", "JsonSyntaxError", 6),
+            (2, "error", "UndecodableMatch", None),
+        ]
+
+    def test_step_returns_values_or_one_failure(self):
+        from repro.resilience.recovery import RecordFailure, run_record
+
+        engine = repro.compile("$.a")
+        assert run_record(engine, MIXED_RECORDS[0], 0) == [1]
+        lazy = run_record(engine, MIXED_RECORDS[2], 2, materialize=False)
+        assert lazy.texts() == [b"[1,,2]"]
+        failure = run_record(engine, MIXED_RECORDS[1], 7)
+        assert isinstance(failure, RecordFailure)
+        assert (failure.index, failure.error) == (7, "JsonSyntaxError")
+
 class TestLenientBoundaries:
     def test_strict_trailing_partial_is_exhaustion(self):
         with pytest.raises(StreamExhaustedError):

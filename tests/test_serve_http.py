@@ -172,6 +172,15 @@ class TestQuery:
             assert lines[-1]["done"] is True
             assert lines[-1]["records"] == 3
 
+    def test_workers_on_json_corpus_400(self):
+        # A single document is one record: nothing to parallelise.
+        with make_service() as live:
+            status, _, body = live.query(
+                {"corpus": "doc", "query": "$.a", "workers": 1}
+            )
+            assert status == 400
+            assert json.loads(body)["error"] == "bad_request"
+
     def test_unknown_corpus_404(self):
         with make_service() as live:
             status, _, body = live.query({"corpus": "x", "query": "$.a"})
@@ -273,6 +282,78 @@ class TestBreaker:
             text = metrics.decode()
             assert 'state="degraded"' in text
             assert 'state="open"' in text
+
+
+VALID_DOC = b'{"a": [1, {"b": "x"}], "c": 2}'
+UNDECODABLE_DOC = b'{"a": [1,,2], "b": 1}'
+MIXED = b'{"a":1}\n{"a": \n{"a":3}'
+
+
+def degrade(live: LiveService, corpus: str) -> None:
+    """One recorded failure: with ``degrade_after=1`` the next request
+    against ``corpus`` runs lenient."""
+    live.on_loop(live.service.breaker(corpus).record_failure)
+
+
+class TestOneRecordPath:
+    """A ``json`` corpus is a one-record stream, and both dispatchers
+    write the same per-record lines."""
+
+    @pytest.mark.parametrize("doc", [VALID_DOC, UNDECODABLE_DOC])
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_json_corpus_matches_one_line_jsonl(self, doc, mode):
+        registry = CorpusRegistry()
+        registry.register("as-json", doc, format="json")
+        registry.register("as-jsonl", doc)
+        config = ServeConfig(
+            port=0, client_timeout=10.0, degrade_after=1, open_after=100
+        )
+        responses = []
+        with LiveService(registry, config) as live:
+            for corpus in ("as-json", "as-jsonl"):
+                if mode == "lenient":
+                    degrade(live, corpus)
+                status, _, body = live.query({"corpus": corpus, "query": "$.a"})
+                responses.append((status, ndjson(body)))
+        assert responses[0] == responses[1]
+        status, lines = responses[0]
+        assert status == 200
+        if doc == VALID_DOC:
+            assert lines[0] == {"index": 0, "values": [[1, {"b": "x"}]]}
+            assert lines[-1]["mode"] == mode
+        elif mode == "strict":
+            assert lines[-1]["error"] == "UndecodableMatch"
+        else:
+            assert lines == [
+                {"index": 0, "skipped": "UndecodableMatch"},
+                {"done": True, "records": 1, "emitted": 0,
+                 "skipped": 1, "mode": "lenient"},
+            ]
+
+    def test_pool_and_streaming_lines_agree_in_record_order(self):
+        registry = CorpusRegistry()
+        registry.register("mixed", MIXED)
+        config = ServeConfig(
+            port=0, client_timeout=10.0, batch_size=2, degrade_after=1, open_after=100
+        )
+        responses = []
+        with LiveService(registry, config) as live:
+            for workers in (1, 0):
+                degrade(live, "mixed")
+                status, _, body = live.query(
+                    {"corpus": "mixed", "query": "$.a", "workers": workers}
+                )
+                assert status == 200
+                responses.append(ndjson(body))
+        pool, streaming = responses
+        assert pool[:-1] == streaming[:-1] == [
+            {"index": 0, "values": [1]},
+            {"index": 1, "skipped": "JsonSyntaxError"},
+            {"index": 2, "values": [3]},
+        ]
+        assert pool[-1].pop("worker_crashes") == 0
+        assert pool[-1] == streaming[-1]
+        assert streaming[-1]["mode"] == "lenient"
 
 
 class TestDeadlineMidStream:
