@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 from repro.engine.base import EngineBase
-from repro.engine.output import MatchList
+from repro.engine.output import MatchList, encode_line
 from repro.errors import JsonSyntaxError
 from repro.jsonpath.ast import Path
 from repro.jsonpath.parser import parse_path
@@ -85,7 +85,7 @@ class StdlibJson(EngineBase):
         matches = MatchList()
         try:
             for hit in evaluate(self.path, value):
-                encoded = json.dumps(hit, ensure_ascii=False).encode("utf-8")
+                encoded = encode_line(hit)
                 matches.add(encoded, 0, len(encoded))
         except RecursionError as exc:
             raise depth_error_from_recursion(exc, "stdlib") from None

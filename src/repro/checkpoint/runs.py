@@ -31,12 +31,11 @@ history.  See ``docs/robustness.md``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.checkpoint.store import CheckpointStore, as_store, fingerprint
-from repro.engine.output import Match
+from repro.engine.output import encode_line
 from repro.errors import CheckpointError, ConfigurationError
 
 #: ``kind`` tags distinguishing checkpoint flavours; resuming a run with
@@ -75,22 +74,8 @@ class JsonlEmitter:
             self._seekable = False
 
     def emit(self, index: int, values: list[Any]) -> None:
-        """Write one line per value.
-
-        A lazy :class:`~repro.engine.output.Match` view is spliced out
-        verbatim — its slice is already one valid JSON value, so the
-        line needs no parse and no re-encode (the emission-bound win of
-        on-demand materialization).  Anything else (a pool worker's
-        already-parsed value, a plain Python object) is serialized
-        compactly as before.
-        """
-        write = self.handle.write
-        for value in values:
-            if isinstance(value, Match):
-                write(value.text)
-            else:
-                write(json.dumps(value, separators=(",", ":")).encode("utf-8"))
-            write(b"\n")
+        """Write one line per value, as :func:`~repro.engine.output.encode_line` spells it."""
+        self.handle.write(b"".join(encode_line(value) + b"\n" for value in values))
 
     def flush(self) -> None:
         self.handle.flush()

@@ -15,10 +15,12 @@ Exit status (grep-inspired, with distinct failure classes): see
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import signal
 import sys
 
+from repro.checkpoint.runs import JsonlEmitter
+from repro.engine.output import Match, encode_line
 from repro.engine.stats import GROUPS
 from repro.errors import (
     JsonPathSyntaxError,
@@ -85,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jsonl", action="store_true",
                         help="input is newline-delimited JSON (one record per line)")
     parser.add_argument("--raw", action="store_true",
-                        help="print raw matched text instead of one JSON value per line")
+                        help="print each match's source text, in every mode (default: a "
+                             "string prints as its text, any other value as one JSON line)")
     parser.add_argument("--count", action="store_true", help="print only the number of matches")
     parser.add_argument("--first", action="store_true", help="print only the first match (early termination)")
     parser.add_argument("--paths", action="store_true",
@@ -225,61 +228,73 @@ def _finish_observability(args, info, registry, trace_sink, data: bytes, n_match
 
 def _run_lenient(args, engine, data: bytes, info, registry, trace_sink, out, err) -> int:
     """``--lenient --jsonl``: skip malformed records, report, keep going."""
-    import json as _json
-
     from repro.resilience.recovery import run_with_recovery
 
     stream = RecordStream.from_jsonl(data)
-    recovery = run_with_recovery(engine, stream, metrics=registry)
+    # Decoding skips a record whose match does not decode (UndecodableMatch).
+    recovery = run_with_recovery(engine, stream, metrics=registry, materialize=not args.raw)
     if not recovery.ok:
         print(recovery.describe(), file=err)
     values = recovery.all_values()
     code = _finish_observability(args, info, registry, trace_sink, data, len(values), err)
-    if code:
-        return code
+    return code or _print_matches(args, out, values)
+
+
+def _print_matches(args, out, items) -> int:
+    """Print ``--count``, or the (first) matches or ``--paths`` pairs; the exit code."""
+    n = len(items)
     if args.count:
-        print(len(values), file=out)
-        return 0 if values else 1
-    for value in values[: 1 if args.first else len(values)]:
-        print(_json.dumps(value, ensure_ascii=False), file=out)
-    return 0 if values else 1
+        print(n, file=out)
+    else:
+        _CliEmitter(out, args.raw).show(list(items)[: 1 if args.first else n])
+    return 0 if n else 1
 
 
-class _CliEmitter:
-    """Adapter from the checkpoint emitter protocol onto the CLI output.
+#: A lone surrogate (``"\ud800"`` decodes to one) has no UTF-8 spelling.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
-    When the stream is seekable (a redirected file, a test buffer) the
-    resumed run truncates back to the checkpointed offset and the final
-    output is exactly-once; a terminal/pipe falls back to at-least-once
-    across the narrow crash window (``tell`` reports ``None``).
+
+class _CliEmitter(JsonlEmitter):
+    """The CLI's one printer, and its checkpoint emitter.
+
+    ``raw`` prints each match's source slice.  Otherwise a string prints
+    as its text (a lone surrogate as U+FFFD) and any other value as
+    :func:`~repro.engine.output.encode_line` spells it; a match that does
+    not decode (a malformation the engine fast-forwarded over) prints its
+    source slice.
+
+    Exactly-once on a seekable stream (a redirected file, a test
+    buffer), at-least-once on a terminal or pipe, as
+    :class:`~repro.checkpoint.runs.JsonlEmitter`.
     """
 
-    def __init__(self, stream) -> None:
-        self.stream = stream
+    def __init__(self, handle, raw: bool) -> None:
+        super().__init__(handle)
+        self.raw = raw
+
+    def line(self, item) -> str:
+        if isinstance(item, tuple):  # --paths: a (path, match) pair
+            path, match = item
+            rendered = "$" + "".join(f"[{k!r}]" if isinstance(k, str) else f"[{k}]" for k in path)
+            return f"{rendered}\t{self.line(match)}"
+        try:
+            if isinstance(item, Match):
+                if self.raw:
+                    return item.text.decode("utf-8", "replace")
+                if item.source[item.start : item.start + 1] == b'"':
+                    item = item.as_str()
+            if isinstance(item, str):
+                return _LONE_SURROGATE.sub("\ufffd", item)
+            return encode_line(item).decode("utf-8", "replace")
+        except ValueError:  # only a Match decodes, so only a Match gets here
+            return item.text.decode("utf-8", "replace")
+
+    def show(self, items) -> None:
+        for item in items:
+            print(self.line(item), file=self.handle)
 
     def emit(self, index: int, values: list) -> None:
-        from repro.engine.output import Match
-
-        for value in values:
-            if isinstance(value, Match):
-                # Lazy view: splice the raw slice (already one JSON
-                # value) — the checkpointed path never parses matches.
-                print(value.text.decode("utf-8", "replace"), file=self.stream)
-            else:
-                print(json.dumps(value, ensure_ascii=False), file=self.stream)
-
-    def flush(self) -> None:
-        self.stream.flush()
-
-    def tell(self):
-        try:
-            return self.stream.tell()
-        except (OSError, ValueError, AttributeError):
-            return None
-
-    def truncate_to(self, offset) -> None:
-        self.stream.seek(offset)
-        self.stream.truncate(offset)
+        self.show(values)
 
 
 def _signal_stop():
@@ -320,7 +335,7 @@ def _run_checkpointed_records(args, engine, data, info, registry, trace_sink, ou
 
     stream = RecordStream.from_jsonl(data)
     every = args.checkpoint_every or DEFAULT_CHECKPOINT_RECORDS
-    emitter = None if args.count else _CliEmitter(out)
+    emitter = None if args.count else _CliEmitter(out, args.raw)
     recovery = run_with_recovery(
         engine,
         stream,
@@ -405,16 +420,8 @@ def _run_checkpointed_single(args, data, limits, info, registry, trace_sink, out
             return EXIT_INTERRUPTED
     save(True)
     matches = run.matches()
-    n = len(matches)
-    code = _finish_observability(args, info, registry, trace_sink, data, n, err)
-    if code:
-        return code
-    if args.count:
-        print(n, file=out)
-        return 0 if n else 1
-    for match in list(matches)[: 1 if args.first else n]:
-        print(match.text.decode("utf-8", "replace") if args.raw else match.value(), file=out)
-    return 0 if n else 1
+    code = _finish_observability(args, info, registry, trace_sink, data, len(matches), err)
+    return code or _print_matches(args, out, matches)
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
@@ -562,7 +569,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.first and info.early_terminating and not args.jsonl and not args.paths:
             match = engine.first(record)
             if match is not None:
-                print(match.text.decode("utf-8", "replace") if args.raw else match.value(), file=out)
+                _CliEmitter(out, args.raw).show([match])
             code = _finish_observability(args, info, registry, trace_sink, data,
                                          1 if match is not None else 0, err)
             return code or (0 if match is not None else 1)
@@ -570,11 +577,11 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.jsonl:
             stream = RecordStream.from_jsonl(data)
             if args.paths:
-                pairs = [p for i in range(len(stream)) for p in engine.run_with_paths(stream.record(i))]
+                matches = [p for i in range(len(stream)) for p in engine.run_with_paths(stream.record(i))]
             else:
                 matches = engine.run_records(stream)
         elif args.paths:
-            pairs = engine.run_with_paths(record)
+            matches = engine.run_with_paths(record)
         else:
             matches = engine.run(record)
     except ReproError as exc:
@@ -596,27 +603,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     if args.stats and info.instrumented:
         _print_stats(engine, err)
 
-    code = _finish_observability(args, info, registry, trace_sink, data,
-                                 len(pairs) if args.paths else len(matches), err)
-    if code:
-        return code
-
-    if args.paths:
-        n = len(pairs)
-        for path, match in pairs[: 1 if args.first else n]:
-            rendered = "$" + "".join(f"[{k!r}]" if isinstance(k, str) else f"[{k}]" for k in path)
-            value = match.text.decode("utf-8", "replace") if args.raw else match.value()
-            print(f"{rendered}\t{value}", file=out)
-        return 0 if n else 1
-
-    n = len(matches)
-    if args.count:
-        print(n, file=out)
-        return 0 if n else 1
-    shown = list(matches)[: 1 if args.first else n]
-    for match in shown:
-        print(match.text.decode("utf-8", "replace") if args.raw else match.value(), file=out)
-    return 0 if n else 1
+    code = _finish_observability(args, info, registry, trace_sink, data, len(matches), err)
+    return code or _print_matches(args, out, matches)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

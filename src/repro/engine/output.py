@@ -13,7 +13,8 @@ thousands of matches per run, and dataclass construction was measurable.
 :class:`Match` objects are materialized only on access, and
 :class:`MatchList` caches each materialized view so repeated access (an
 ``@``-path predicate, then the consumer) parses every byte range at most
-once per run.
+once per run.  :func:`encode_line` turns a match into a line of output
+for every surface: ``to_jsonl``, the checkpoint emitter, serve, the CLI.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class Match:
     """One matched value: a lazy view over ``source[start:end]``.
 
     The parse-on-first-touch contract: constructing, counting, slicing
-    (``.raw``/``.text``) and serializing (:meth:`MatchList.to_jsonl`)
-    never run ``json.loads``; the first :meth:`value` call parses and
-    memoizes, and later calls return the memoized object.
+    (``.raw``/``.text``) and serializing (:meth:`MatchList.to_jsonl`,
+    bar a match that spans lines) never run ``json.loads``; the first
+    :meth:`value` call parses and memoizes, and later calls return the
+    memoized object.
     """
 
     __slots__ = ("source", "start", "end", "_value")
@@ -170,13 +172,29 @@ class Match:
         return f"Match({self.start}:{self.end}, {preview + suffix!r})"
 
 
+def encode_line(item: Any) -> bytes:
+    """One item as exactly one line of valid JSON (no trailing newline).
+
+    A :class:`Match` is its source slice, unparsed — unless the slice
+    spans lines (pretty-printed input), then its value re-encoded.  Any
+    other value is compact ASCII JSON, which never fails to encode.
+    """
+    if isinstance(item, Match):
+        text = item.text
+        if b"\n" not in text and b"\r" not in text:
+            return text
+        item = item.value()
+    return json.dumps(item, separators=(",", ":")).encode("ascii")
+
+
 class MatchList:
     """Ordered collection of matches from one engine run.
 
     Terminal operations split into two families:
 
     - **Zero-parse**: ``len()`` / :meth:`count`, :meth:`texts`,
-      :meth:`to_jsonl`, :meth:`spans` — these never touch the decoder.
+      :meth:`to_jsonl`, :meth:`spans` — these never touch the decoder
+      (``to_jsonl`` decodes only matches that span lines).
     - **Materializing**: iteration, indexing and :meth:`values` hand out
       cached :class:`Match` views, so the same byte range decodes at
       most once no matter how many consumers touch it.
@@ -266,9 +284,15 @@ class MatchList:
             self._views[base + i] = view
 
     def to_jsonl(self) -> bytes:
-        """Serialize the matches as newline-delimited JSON (raw slices).
+        """Serialize the matches as newline-delimited JSON.
 
-        Every match text is already valid JSON, so the output is valid
-        JSONL without re-encoding — streaming output for streaming input.
+        The list form of :func:`encode_line`: one check over the joined
+        raw slices finds a match that spans lines, and only then are the
+        matches encoded one by one.
         """
-        return b"\n".join(self.texts()) + (b"\n" if len(self) else b"")
+        if not self._matches:
+            return b""
+        out = b"\n".join(self.texts()) + b"\n"
+        if out.count(b"\n") == len(self._matches) and b"\r" not in out:
+            return out
+        return b"".join(encode_line(match) + b"\n" for match in self)

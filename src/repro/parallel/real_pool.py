@@ -234,19 +234,15 @@ class PoolResult:
         return sum(1 for v in self.values if v is not None)
 
     def describe(self) -> str:
-        lines = [
+        from repro.resilience.recovery import failure_report
+
+        return failure_report(
             f"{self.records_ok}/{len(self.values)} records ok, "
             f"{len(self.failures)} quarantined, "
             f"{self.worker_crashes} worker crashes, "
-            f"{self.batch_retries} batch retries"
-        ]
-        for failure in self.failures[:20]:
-            lines.append(
-                f"  record {failure.index}: [{failure.kind}] {failure.error}: {failure.message}"
-            )
-        if len(self.failures) > 20:
-            lines.append(f"  ... and {len(self.failures) - 20} more")
-        return "\n".join(lines)
+            f"{self.batch_retries} batch retries",
+            self.failures,
+        )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:

@@ -47,6 +47,14 @@ class RecordFailure:
             position=getattr(exc, "position", None),
         )
 
+    def describe(self) -> str:
+        # ReproError messages already end in "(at byte N)": append the
+        # position only to a message that lacks it.
+        where = ""
+        if self.position is not None and f"(at byte {self.position})" not in self.message:
+            where = f" at byte {self.position}"
+        return f"record {self.index}: [{self.kind}] {self.error}: {self.message}{where}"
+
     def aborts(self, failures: int, max_failures: int | None) -> bool:
         """Whether this failure, the ``failures``-th of its run, ends the run.
 
@@ -111,19 +119,16 @@ class RecoveryResult:
         return [v for per_record in self.values if per_record is not None for v in per_record]
 
     def describe(self) -> str:
-        lines = [
-            f"{self.records_ok}/{len(self.values)} records ok, "
-            f"{len(self.failures)} skipped"
-        ]
-        for failure in self.failures[:20]:
-            where = f" at byte {failure.position}" if failure.position is not None else ""
-            lines.append(
-                f"  record {failure.index}: [{failure.kind}] {failure.error}: "
-                f"{failure.message}{where}"
-            )
-        if len(self.failures) > 20:
-            lines.append(f"  ... and {len(self.failures) - 20} more")
-        return "\n".join(lines)
+        header = f"{self.records_ok}/{len(self.values)} records ok, {len(self.failures)} skipped"
+        return failure_report(header, self.failures)
+
+
+def failure_report(header: str, failures: list[RecordFailure]) -> str:
+    """Both record runners' ``describe()``: ``header``, then the first 20 failures."""
+    lines = [header] + [f"  {failure.describe()}" for failure in failures[:20]]
+    if len(failures) > 20:
+        lines.append(f"  ... and {len(failures) - 20} more")
+    return "\n".join(lines)
 
 
 def run_with_recovery(

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.engine.output import encode_line
 from repro.serve.errors import BadRequestError
 
 #: Hard caps keeping one hostile client from ballooning handler memory.
@@ -180,7 +181,7 @@ class NdjsonStream:
         self.started = True
 
     async def send_line(self, obj: Any) -> None:
-        data = json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+        data = encode_line(obj) + b"\n"
         self.writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
         await asyncio.wait_for(self.writer.drain(), self.timeout)
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 import repro
 from repro.compat import parse
-from repro.data.datasets import large_record
+from repro.data.datasets import dataset, large_record
 from repro.engine.stats import GROUPS
 
 
@@ -56,6 +57,25 @@ class TestToJsonl:
         out = repro.JsonSki("$.pd[*]").run(b'{"pd": [{"nm": "a"}, {"nm": "b"}]}').to_jsonl()
         stream = repro.RecordStream.from_jsonl(out)
         assert repro.JsonSki("$.nm").run_records(stream).values() == ["a", "b"]
+
+    @pytest.mark.parametrize("name", ["TT", "BB", "GMD", "NSPL", "WM", "WP"])
+    def test_pretty_printed_input_stays_one_line_per_match(self, name):
+        # Container matches over indent-formatted input span lines; each
+        # must still come out as exactly one parseable JSON line.  Each
+        # Table 5 query runs as is and with its last key step dropped, so
+        # the matches are the containers around the paper's targets.
+        doc = json.loads(large_record(name, 20_000, seed=3))
+        data = json.dumps(doc, indent=2).encode()
+        for spec in dataset(name).queries:
+            for query in {spec.large, re.sub(r"\.\w+$", "", spec.large)}:
+                matches = repro.JsonSki(query).run(data)
+                lines = matches.to_jsonl().splitlines()
+                assert len(lines) == len(matches), query
+                assert [json.loads(line) for line in lines] == matches.values(), query
+
+    def test_multiline_container_matches(self):
+        matches = repro.JsonSki("$.a[*]").run(json.dumps({"a": [{"x": 1, "y": [2]}, 3]}, indent=5).encode())
+        assert matches.to_jsonl() == b'{"x":1,"y":[2]}\n3\n'
 
 
 class TestSeedStability:
