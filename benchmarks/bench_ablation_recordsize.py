@@ -1,9 +1,10 @@
 """Ablation A5: small-record size sensitivity.
 
 Figure 11's margins are thinner than Figure 10's because every record
-pays a fixed indexing setup.  This sweep holds total bytes constant and
-varies the record granularity by batching TT units per record, exposing
-the per-record fixed cost of each engine.
+pays a fixed setup (for JSONSki, a stage-2 run over its window of the
+stream's one index).  This sweep holds total bytes constant and varies
+the record granularity by batching TT units per record, exposing the
+per-record fixed cost of each engine.
 """
 
 from __future__ import annotations

@@ -20,7 +20,11 @@ Usage::
 ``--check`` is the CI regression gate: it fails (exit 1) if the
 geometric-mean vector speedup of either figure regresses more than
 ``--tolerance`` (default 10%) against the most recent committed record,
-or if any fig10 large-record flagship query falls below parity.
+if any fig10 large-record flagship query falls below parity, or if
+JSONSki loses the paper's Fig. 11 ordering against Pison: each fig11
+cell also times the ``pison`` baseline on the same stream, and the
+aggregate (total Pison seconds over total JSONSki seconds across the
+cells) must stay at or above ``PISON_FLOOR`` (1.0x).
 
 Two further scenario families ride in each record:
 
@@ -64,7 +68,11 @@ BENCH_FILES = {10: REPO_ROOT / "BENCH_fig10.json", 11: REPO_ROOT / "BENCH_fig11.
 #: headline bars); ``--check`` additionally requires these stay >= 1.0.
 FLAGSHIPS = ("TT1", "TT2", "BB1", "BB2", "GMD1")
 
-WORD, VECTOR = "jsonski-word", "jsonski"
+#: The paper's Fig. 11 ordering: JSONSki's aggregate over the fig11 cells
+#: must be at least Pison's (``--check``).
+PISON_FLOOR = 1.0
+
+WORD, VECTOR, PISON = "jsonski-word", "jsonski", "pison"
 
 
 def _geomean(values: list[float]) -> float:
@@ -107,23 +115,28 @@ def measure_fig10(size: int, repeat: int) -> dict:
 def measure_fig11(size: int, repeat: int) -> dict:
     queries = {}
     for name, q in small_queries():
-        word_s, word_m = time_run_records(
-            make_engine(WORD, q.small), get_records(name, size), repeat=repeat
-        )
-        vec_s, vec_m = time_run_records(
-            make_engine(VECTOR, q.small), get_records(name, size), repeat=repeat
-        )
-        if len(word_m) != len(vec_m):
+        stream = get_records(name, size)
+        word_s, word_m = time_run_records(make_engine(WORD, q.small), stream, repeat=repeat)
+        vec_s, vec_m = time_run_records(make_engine(VECTOR, q.small), stream, repeat=repeat)
+        pison_s, pison_m = time_run_records(make_engine(PISON, q.small), stream, repeat=repeat)
+        if not len(word_m) == len(vec_m) == len(pison_m):
             raise InvariantError(
-                f"{q.qid}: word found {len(word_m)} matches, vector {len(vec_m)}"
+                f"{q.qid}: word found {len(word_m)} matches, vector {len(vec_m)},"
+                f" pison {len(pison_m)}"
             )
         queries[q.qid] = {
             "word_s": round(word_s, 6),
             "vector_s": round(vec_s, 6),
+            "pison_s": round(pison_s, 6),
             "ratio": round(word_s / vec_s, 4),
             "matches": len(word_m),
         }
     return queries
+
+
+def pison_aggregate(queries: dict) -> float:
+    """Fig. 11 ordering: total Pison seconds over total JSONSki seconds."""
+    return sum(q["pison_s"] for q in queries.values()) / sum(q["vector_s"] for q in queries.values())
 
 
 #: Low-skip, match-dense queries where serializing the output dominates
@@ -229,6 +242,8 @@ def build_record(fig: int, size: int, repeat: int) -> dict:
     }
     if fig == 10:
         record["warm_index"] = measure_warm_index(size, repeat)
+    else:
+        record["pison_aggregate"] = round(pison_aggregate(queries), 4)
     return record
 
 
@@ -253,6 +268,8 @@ def print_record(record: dict) -> None:
             f"  ratio {cell['ratio']:.2f}x  ({cell['matches']} matches)"
         )
     print(f"  geomean vector speedup: {record['geomean_ratio']:.2f}x")
+    if "pison_aggregate" in record:
+        print(f"  aggregate vs pison: {record['pison_aggregate']:.2f}x")
     for qid, cell in record.get("emission", {}).items():
         print(
             f"  {qid:7s} emit: eager {cell['eager_s']:.4f}s  lazy {cell['lazy_s']:.4f}s"
@@ -296,6 +313,11 @@ def check_record(
                 failures.append(
                     f"fig10: flagship {qid} vector slower than word ({ratio:.2f}x)"
                 )
+    if fig == 11 and record["pison_aggregate"] < PISON_FLOOR:
+        failures.append(
+            f"fig11: JSONSki aggregate {record['pison_aggregate']:.2f}x vs Pison is below"
+            f" the {PISON_FLOOR:.2f}x floor (the paper's Fig. 11 ordering)"
+        )
     if record.get("emission") and record["emission_geomean"] < emission_floor:
         failures.append(
             f"fig{fig}: lazy emission speedup {record['emission_geomean']:.2f}x"

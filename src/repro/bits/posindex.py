@@ -15,9 +15,9 @@ this module builds those directly from one classification pass:
 
 The result is semantically identical to filtering the word bitmaps (the
 property-based tests assert equality against the word path) but costs a
-dozen short array operations per chunk — which is what makes the
-streaming engine competitive on kilobyte-sized records, where fixed
-per-record indexing cost dominates (paper Section 5.2, Figure 11).
+dozen short array operations per chunk, so small chunks — a record
+stream's index uses 32 KiB ones — stay cheap to build (paper Section
+5.2, Figure 11).
 
 Beyond the flat per-class arrays, each chunk can materialize
 :class:`DepthTables` — the stage-1 artifacts of the two-stage hot path
@@ -35,6 +35,15 @@ Beyond the flat per-class arrays, each chunk can materialize
 Depth values are absolute (carried across chunks like the string mask),
 so a lookup that misses one chunk continues into the next with the same
 target.
+
+An index over a record stream takes the records' start positions as
+*resets*: at each one the string parity, the backslash run and the
+three depths restart from zero, exactly as if the record began its own
+stream.  The resets are applied segment by segment on the same
+``searchsorted``/``cumsum`` arrays the chunk build makes anyway, and the
+carries still chain across chunks, so one malformed record cannot leak
+string or depth state into the records after it (see
+``docs/two-stage.md``, "Record windows").
 """
 
 from __future__ import annotations
@@ -87,6 +96,25 @@ class DepthCarry(NamedTuple):
 
 DEPTH_ZERO = DepthCarry(0, 0, 0)
 
+#: The reset array of an index without record starts.
+NO_RESETS = np.empty(0, dtype=np.int64)
+
+
+def _running_depth(steps: np.ndarray, pos: np.ndarray, resets: np.ndarray, depth_in: int) -> np.ndarray:
+    """Depth after each event: ``depth_in`` plus the running sum of
+    ``steps``, restarted from zero at every reset position.
+
+    Each reset subtracts the running value just before it from every
+    event of its segment — one ``searchsorted`` and one gather on the
+    ``cumsum`` array, however many resets the chunk holds.
+    """
+    after = np.cumsum(steps) + depth_in
+    if resets.size and pos.size:
+        before = np.searchsorted(pos, resets)  # events ahead of each reset
+        base = np.where(before > 0, after[before - 1], depth_in)
+        after -= np.concatenate(([0], base))[np.searchsorted(resets, pos, side="right")]
+    return after
+
 
 def _group_by_depth(pos: np.ndarray, depth: np.ndarray) -> dict[int, "array[int]"]:
     """``{depth: sorted positions at that depth}`` from parallel arrays.
@@ -122,12 +150,15 @@ class PairTable:
 
     __slots__ = ("depth_in", "events", "after", "closes_by_depth", "opens", "opens_after")
 
-    def __init__(self, pos: np.ndarray, vals: np.ndarray, open_byte: int, close_byte: int, depth_in: int) -> None:
+    def __init__(
+        self, pos: np.ndarray, vals: np.ndarray, open_byte: int, close_byte: int,
+        depth_in: int, resets: np.ndarray = NO_RESETS,
+    ) -> None:
         mask = (vals == open_byte) | (vals == close_byte)
         events = pos[mask]
         ev_vals = vals[mask]
         is_open = ev_vals == open_byte
-        after = depth_in + np.cumsum(np.where(is_open, 1, -1))
+        after = _running_depth(np.where(is_open, 1, -1), events, resets, depth_in)
         self.depth_in = depth_in
         self.events: "array[int]" = array("q")
         self.events.frombytes(np.ascontiguousarray(events).tobytes())
@@ -170,16 +201,23 @@ class DepthTables:
     Only the combined event/depth arrays are built up front; each
     component table materializes on first access, so a query that only
     pairs braces never pays for comma maps (and vice versa).
+
+    With record resets in the chunk, :meth:`depth_before` is exact at
+    any position after its record's first structural character — every
+    position stage 2 asks about, since it only looks inside containers.
     """
 
     __slots__ = (
-        "depth_in", "events", "after", "_pos", "_vals", "_after_np",
+        "depth_in", "events", "after", "_pos", "_vals", "_after_np", "_resets",
         "_brace", "_bracket", "_commas", "_colons", "_obj_opens", "_ary_opens",
         "_closes",
     )
 
-    def __init__(self, pos: np.ndarray, vals: np.ndarray, depth_in: DepthCarry) -> None:
-        after = depth_in.depth + np.cumsum(_DELTA[vals])
+    def __init__(
+        self, pos: np.ndarray, vals: np.ndarray, depth_in: DepthCarry,
+        resets: np.ndarray = NO_RESETS,
+    ) -> None:
+        after = _running_depth(_DELTA[vals], pos, resets, depth_in.depth)
         self.depth_in = depth_in
         self.events: "array[int]" = array("q")
         self.events.frombytes(np.ascontiguousarray(pos).tobytes())
@@ -188,6 +226,7 @@ class DepthTables:
         self._pos = pos
         self._vals = vals
         self._after_np = after
+        self._resets = resets
         self._brace: PairTable | None = None
         self._bracket: PairTable | None = None
         self._commas: dict[int, "array[int]"] | None = None
@@ -200,14 +239,18 @@ class DepthTables:
     def brace(self) -> PairTable:
         table = self._brace
         if table is None:
-            table = self._brace = PairTable(self._pos, self._vals, _LBRACE, _RBRACE, self.depth_in.brace)
+            table = self._brace = PairTable(
+                self._pos, self._vals, _LBRACE, _RBRACE, self.depth_in.brace, self._resets
+            )
         return table
 
     @property
     def bracket(self) -> PairTable:
         table = self._bracket
         if table is None:
-            table = self._bracket = PairTable(self._pos, self._vals, _LBRACKET, _RBRACKET, self.depth_in.bracket)
+            table = self._bracket = PairTable(
+                self._pos, self._vals, _LBRACKET, _RBRACKET, self.depth_in.bracket, self._resets
+            )
         return table
 
     @property
@@ -268,8 +311,9 @@ class PositionChunk:
 
     ``keep``/``keep_vals`` hold the string-filtered structural positions
     (absolute) and their byte values; ``quotes`` holds the unescaped
-    quotes.  Class lists are materialized lazily — a typical query
-    touches only a handful of classes.
+    quotes; ``resets`` the record starts inside the chunk (absolute).
+    Class lists are materialized lazily — a typical query touches only a
+    handful of classes.
     """
 
     start: int
@@ -281,6 +325,7 @@ class PositionChunk:
     carry_out: StringCarry
     depth_in: DepthCarry = DEPTH_ZERO
     depth_out: DepthCarry = DEPTH_ZERO
+    resets: np.ndarray = field(default_factory=lambda: NO_RESETS)
     _lists: dict[CharClass, "array[int]"] = field(default_factory=dict, repr=False)
     _arrays: dict[CharClass, np.ndarray] = field(default_factory=dict, repr=False)
     _depth: DepthTables | None = field(default=None, repr=False)
@@ -312,7 +357,7 @@ class PositionChunk:
         """This chunk's :class:`DepthTables`, built once on first use."""
         tables = self._depth
         if tables is None:
-            tables = self._depth = DepthTables(self.keep, self.keep_vals, self.depth_in)
+            tables = self._depth = DepthTables(self.keep, self.keep_vals, self.depth_in, self.resets)
         return tables
 
     def positions_list(self, cls: CharClass) -> "array[int]":
@@ -336,22 +381,35 @@ def build_position_chunk(
     start: int,
     carry: StringCarry = INITIAL_CARRY,
     depth_in: DepthCarry = DEPTH_ZERO,
+    resets: np.ndarray = NO_RESETS,
 ) -> PositionChunk:
-    """Classify one chunk into string-filtered position arrays."""
+    """Classify one chunk into string-filtered position arrays.
+
+    ``resets`` (sorted absolute positions inside the chunk) restart the
+    string and depth state: a backslash run is cut there, a quote there
+    is never escaped, and parity and depths count from zero after it.
+    """
     buf = np.frombuffer(chunk, dtype=np.uint8)
     idx = np.flatnonzero(_INTERESTING[buf])
     vals = buf[idx]
+    n = len(chunk)
+    r = resets - start
+    if r.size:
+        at_reset = np.zeros(n, dtype=bool)
+        at_reset[r] = True
 
     quote_mask = vals == _QUOTE
     q = idx[quote_mask]
     b = idx[vals == _BACKSLASH]
-    pending_in = bool(carry.escape)
+    pending_in = bool(carry.escape) and not (r.size and r[0] == 0)
 
     # --- backslash runs -> escaped-quote detection --------------------
     if b.size:
         new_run = np.empty(b.size, dtype=bool)
         new_run[0] = True
         np.not_equal(b[1:], b[:-1] + 1, out=new_run[1:])
+        if r.size:
+            new_run |= at_reset[b]
         run_starts = b[new_run]
         end_mask = np.empty(b.size, dtype=bool)
         end_mask[-1] = True
@@ -366,6 +424,8 @@ def build_position_chunk(
         ri_c = np.minimum(ri, max(len(run_ends) - 1, 0))
         if run_ends.size:
             has_run = run_ends[ri_c] == q - 1
+            if r.size:
+                has_run &= ~at_reset[q]
             eff = run_lens[ri_c] - ((run_starts[ri_c] == 0) & pending_in)
             escaped = has_run & (eff % 2 == 1)
         else:
@@ -377,7 +437,6 @@ def build_position_chunk(
         uq = q
 
     # --- escape carry out ----------------------------------------------
-    n = len(chunk)
     pending_out = False
     if n and run_ends.size and run_ends[-1] == n - 1:
         eff_len = int(run_lens[-1]) - (1 if (run_starts[-1] == 0 and pending_in) else 0)
@@ -386,22 +445,40 @@ def build_position_chunk(
         pending_out = pending_in
 
     # --- in-string filtering of structural characters -------------------
+    # Parity counts unescaped quotes since the segment start: the chunk
+    # start (seeded by the carry) or the last reset at or before.
     s_idx = idx[~quote_mask & (vals != _BACKSLASH)]
     s_vals = vals[~quote_mask & (vals != _BACKSLASH)]
+    if r.size:
+        quotes_before = np.concatenate(([-carry.in_string], np.searchsorted(uq, r)))
     if s_idx.size:
-        inside = (np.searchsorted(uq, s_idx) + carry.in_string) % 2 == 1
+        if r.size:
+            segment = np.searchsorted(r, s_idx, side="right")
+            inside = (np.searchsorted(uq, s_idx) - quotes_before[segment]) % 2 == 1
+        else:
+            inside = (np.searchsorted(uq, s_idx) + carry.in_string) % 2 == 1
         keep = s_idx[~inside]
         keep_vals = s_vals[~inside]
     else:
         keep, keep_vals = s_idx, s_vals
-    in_string_out = int((len(uq) + carry.in_string) % 2)
+    if r.size:
+        in_string_out = int((len(uq) - quotes_before[-1]) % 2)
+    else:
+        in_string_out = int((len(uq) + carry.in_string) % 2)
 
-    net_brace = int(np.count_nonzero(keep_vals == _LBRACE)) - int(np.count_nonzero(keep_vals == _RBRACE))
-    net_bracket = int(np.count_nonzero(keep_vals == _LBRACKET)) - int(np.count_nonzero(keep_vals == _RBRACKET))
+    # Depth out: the last segment's net, on top of the carry only when
+    # no reset cut the chunk.
+    tail = keep_vals
+    base = depth_in
+    if r.size:
+        tail = keep_vals[keep >= r[-1]]
+        base = DEPTH_ZERO
+    net_brace = int(np.count_nonzero(tail == _LBRACE)) - int(np.count_nonzero(tail == _RBRACE))
+    net_bracket = int(np.count_nonzero(tail == _LBRACKET)) - int(np.count_nonzero(tail == _RBRACKET))
     depth_out = DepthCarry(
-        depth_in.depth + net_brace + net_bracket,
-        depth_in.brace + net_brace,
-        depth_in.bracket + net_bracket,
+        base.depth + net_brace + net_bracket,
+        base.brace + net_brace,
+        base.bracket + net_bracket,
     )
 
     return PositionChunk(
@@ -414,6 +491,7 @@ def build_position_chunk(
         carry_out=StringCarry(int(pending_out), in_string_out),
         depth_in=depth_in,
         depth_out=depth_out,
+        resets=resets,
     )
 
 
@@ -426,6 +504,10 @@ class PositionBufferIndex(BufferIndex):
     so every chunk's :class:`DepthTables` speak absolute depths and any
     evicted chunk can be rebuilt — depth state included — from its own
     bytes.
+
+    ``resets`` are the record starts of a record stream (sorted, unique):
+    each chunk build restarts string and depth state at the ones it
+    covers (see :func:`build_position_chunk`).
     """
 
     def __init__(
@@ -433,14 +515,20 @@ class PositionBufferIndex(BufferIndex):
         data: bytes,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         cache_chunks: int | None = 4,
+        resets: np.ndarray = NO_RESETS,
     ) -> None:
         super().__init__(data, chunk_size=chunk_size, cache_chunks=cache_chunks)
         self._depth_carries: list[DepthCarry] = []
+        self.resets = resets
 
     def _build_chunk(self, chunk: bytes, start: int, carry: StringCarry) -> PositionChunk:
         chunk_id = start // self.chunk_size
         depth_in = DEPTH_ZERO if chunk_id == 0 else self._depth_carries[chunk_id - 1]
-        built = build_position_chunk(chunk, start, carry, depth_in=depth_in)
+        resets = self.resets
+        if resets.size:
+            lo, hi = np.searchsorted(resets, (start, start + len(chunk)))
+            resets = resets[lo:hi]
+        built = build_position_chunk(chunk, start, carry, depth_in=depth_in, resets=resets)
         if chunk_id == len(self._depth_carries):
             self._depth_carries.append(built.depth_out)
         return built

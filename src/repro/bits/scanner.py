@@ -256,13 +256,26 @@ class VectorScanner(Scanner):
     becomes a scalar binary search over the decoded positions.  The
     public methods are overridden with flat ``bisect`` loops because the
     fast-forward algorithms issue these queries millions of times.
+
+    ``lo``/``hi`` make the scanner a *window* ``[lo, hi)`` over a shared
+    index — one record of a record stream (:meth:`repro.stream.buffer.
+    StreamBuffer.window`): a forward lookup that lands at or past ``hi``,
+    or a backward one that lands before ``lo``, returns
+    :data:`NOT_FOUND`, and no lookup walks chunks outside the window.  A
+    window scanner belongs to one run; the shared index never learns of
+    it.
     """
 
-    def __init__(self, index: BufferIndex) -> None:
+    def __init__(self, index: BufferIndex, lo: int = 0, hi: int | None = None) -> None:
         super().__init__(index)
-        self._n_chunks = index.n_chunks
         self._chunk_size = index.chunk_size
-        self._size = len(index)
+        if hi is None:
+            self._n_chunks = index.n_chunks
+            self._size = len(index)
+        else:
+            self._n_chunks = min(index.n_chunks, -(-hi // index.chunk_size))
+            self._size = hi
+        self._lo = lo
         # Per-class cursor: (chunk_id, positions_list) of the most recently
         # touched chunk.  Streaming access is overwhelmingly chunk-local,
         # so this removes the index/dict hops from the common path while
@@ -297,18 +310,21 @@ class VectorScanner(Scanner):
             positions = self._list(cls, chunk_id)
             idx = bisect_left(positions, pos)
             if idx < len(positions):
-                return positions[idx]
+                found = positions[idx]
+                return found if found < self._size else NOT_FOUND
         return NOT_FOUND
 
     def find_prev(self, cls: CharClass, pos: int) -> int:
         pos = min(pos, self._size - 1)
-        if pos < 0:
+        lo = self._lo
+        if pos < lo:
             return NOT_FOUND
-        for chunk_id in range(pos // self._chunk_size, -1, -1):
+        for chunk_id in range(pos // self._chunk_size, lo // self._chunk_size - 1, -1):
             positions = self._list(cls, chunk_id)
             idx = bisect_right(positions, pos)
             if idx > 0:
-                return positions[idx - 1]
+                found = positions[idx - 1]
+                return found if found >= lo else NOT_FOUND
         return NOT_FOUND
 
     def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
@@ -343,7 +359,8 @@ class VectorScanner(Scanner):
             idx = bisect_left(positions, lo) if chunk_id == first else 0
             available = len(positions) - idx
             if available >= remaining:
-                return positions[idx + remaining - 1]
+                found = positions[idx + remaining - 1]
+                return found if found < self._size else NOT_FOUND
             remaining -= available
         return NOT_FOUND
 
@@ -372,16 +389,15 @@ class VectorScanner(Scanner):
             pair = tables.brace if brace else tables.bracket
             target = pair.depth_before(pos) - num_open
             found = pair.close_at_depth(target, pos)
-            if found >= 0:
-                return found
-            for cid in range(chunk_id + 1, self._n_chunks):
+            cid = chunk_id + 1
+            while found < 0 and cid < self._n_chunks:
                 tables = self._tables(cid)
                 pair = tables.brace if brace else tables.bracket
                 found = pair.first_close_at_depth(target)
-                if found >= 0:
-                    return found
-            return NOT_FOUND
-        return self._pair_close_walk(open_cls, close_cls, pos, num_open)
+                cid += 1
+        else:
+            found = self._pair_close_walk(open_cls, close_cls, pos, num_open)
+        return found if found < self._size else NOT_FOUND
 
     # -- leveled (depth-keyed) queries ----------------------------------
 
@@ -462,7 +478,8 @@ class VectorScanner(Scanner):
                 continue
             i = bisect_left(arr, pos) if chunk_id == first else 0
             if i < len(arr):
-                return arr[i]
+                found = arr[i]
+                return found if found < self._size else NOT_FOUND
         return NOT_FOUND
 
     def count_commas_at_depth(self, depth: int, lo: int, hi: int) -> int:
@@ -508,8 +525,8 @@ class VectorScanner(Scanner):
                 end = arr[i]
         if end == NOT_FOUND:
             end = self.close_at_combined_depth(depth - 1, (chunk_id + 1) * self._chunk_size)
-            if end == NOT_FOUND:
-                return NOT_FOUND, NOT_FOUND
+        if end == NOT_FOUND or end >= self._size:
+            return NOT_FOUND, NOT_FOUND
         opens = tables.opens_by_depth(want_byte).get(depth + 1)
         if opens:
             j = bisect_left(opens, pos)
@@ -542,8 +559,8 @@ class VectorScanner(Scanner):
                 end = arr[i]
         if end == NOT_FOUND:
             end = self.close_at_combined_depth(depth - 1, chunk_end)
-            if end == NOT_FOUND:
-                return NOT_FOUND, NOT_FOUND, 0
+        if end == NOT_FOUND or end >= self._size:
+            return NOT_FOUND, NOT_FOUND, 0
         found = NOT_FOUND
         spill = True
         opens = tables.opens_by_depth(want_byte).get(depth + 1)
@@ -570,7 +587,7 @@ class VectorScanner(Scanner):
         chunk_id = pos // self._chunk_size
         quotes = self._list(CharClass.QUOTE, chunk_id)
         i = bisect_right(quotes, pos)
-        if i >= 2:
+        if i >= 2 and quotes[i - 2] >= self._lo:
             return quotes[i - 2], quotes[i - 1]
         close = self.find_prev(CharClass.QUOTE, pos)
         if close == NOT_FOUND:

@@ -295,6 +295,7 @@ def checkpointed_recovery(
     n = len(stream)
     values: list[list | None] = [None] * n
     interrupted = False
+    records = engine.record_view(stream)
     if not ck.done:
         since_commit = 0
         while ck.cursor < n:
@@ -302,7 +303,7 @@ def checkpointed_recovery(
             if stop is not None and stop(i):
                 interrupted = True
                 break
-            item = run_record(engine, stream.record(i), i, materialize=materialize)
+            item = run_record(engine, records.record(i), i, materialize=materialize)
             if isinstance(item, RecordFailure):
                 ck.failures.append(item)
                 ck.aborted = item.aborts(len(ck.failures), max_failures)

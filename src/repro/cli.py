@@ -536,6 +536,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     if limits is not None:
         observe_kwargs["limits"] = limits
 
+    stream = None
     try:
         from repro.registry import compile as compile_engine
 
@@ -577,7 +578,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.jsonl:
             stream = RecordStream.from_jsonl(data)
             if args.paths:
-                matches = [p for i in range(len(stream)) for p in engine.run_with_paths(stream.record(i))]
+                matches = []
+                for i in range(len(stream)):
+                    try:
+                        matches.extend(engine.run_with_paths(stream.record(i)))
+                    except ReproError as exc:
+                        exc.record_index = i
+                        raise
             else:
                 matches = engine.run_records(stream)
         elif args.paths:
@@ -585,14 +592,22 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         else:
             matches = engine.run(record)
     except ReproError as exc:
-        print(f"error: {exc}", file=err)
+        # A record's error position is within that record: name it and
+        # point the caret into its bytes, not the file's.
+        record = getattr(exc, "record_index", None)
+        source = data
+        if record is not None and stream is not None:
+            print(f"error: record {record}: {exc}", file=err)
+            source = stream.record(record)
+        else:
+            print(f"error: {exc}", file=err)
         # JsonPathSyntaxError.position is an offset into the query, not
         # the input — a data caret would point at the wrong text.
         position = None if isinstance(exc, JsonPathSyntaxError) else getattr(exc, "position", None)
-        if position is not None and position >= 0 and data:
+        if position is not None and position >= 0 and source:
             from repro.errors import format_error_context
 
-            print(format_error_context(data, position), file=err)
+            print(format_error_context(source, position), file=err)
         if registry is not None:
             registry.counter("cli.errors", error=type(exc).__name__).add(1)
         # Flush --metrics/--trace even on failure: the error counters are

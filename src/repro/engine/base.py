@@ -61,12 +61,25 @@ class EngineBase:
     def run(self, data: bytes | str) -> "MatchList":  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def record_view(self, stream: "RecordStream"):
+        """The records this engine streams for ``stream``: the stream
+        itself, each record its own bytes (see
+        :meth:`repro.engine.jsonski.JsonSki.record_view`)."""
+        return stream
+
     def run_records(self, stream: "RecordStream") -> "MatchList":
+        """Run every record in order; a failing record's error carries
+        its index as ``record_index``."""
         from repro.engine.output import MatchList
+        from repro.errors import ReproError
 
         all_matches = MatchList()
-        for record in stream:
-            all_matches.extend(self.run(record))
+        for i, record in enumerate(stream):
+            try:
+                all_matches.extend(self.run(record))
+            except ReproError as exc:
+                exc.record_index = i
+                raise
         return all_matches
 
     def run_file(self, path: str) -> "MatchList":

@@ -7,6 +7,11 @@ k-th selection) — never by examining characters one at a time.  The
 counting-based pairing of Lemma 4.2 / Theorem 4.3 locates every object and
 array end.
 
+A record window ``[start, end)`` of a shared buffer streams the same
+way, with ``end`` standing in for the end of the stream: byte searches
+stop there, and the window's scanner reports lookups past it as
+:data:`~repro.bits.scanner.NOT_FOUND`.
+
 Position conventions:
 
 - ``go_over_obj`` / ``go_over_ary`` take ``pos`` at the opening ``{`` /
@@ -48,7 +53,8 @@ class FastForwarder:
         self.buffer = buffer
         self.scanner = buffer.scanner
         self.data = buffer.data
-        self.size = len(buffer.data)
+        #: End of the streamed bytes (of the record, for a window).
+        self.size = buffer.end
         # Bound methods: these are called once or more per skipped
         # structure, so attribute-lookup cost matters.
         self._find_next = buffer.scanner.find_next
@@ -113,12 +119,12 @@ class FastForwarder:
         first non-whitespace byte after it.  Anything trickier falls back
         to the string-filtered bitmap scan.
         """
-        data = self.data
+        data, size = self.data, self.size
         byte = data[pos]
         closer = _RBRACE if in_object else _RBRACKET
         if byte != _QUOTE:
-            comma = data.find(_COMMA_B, pos)
-            close = data.find(b"}" if in_object else b"]", pos)
+            comma = data.find(_COMMA_B, pos, size)
+            close = data.find(b"}" if in_object else b"]", pos, size)
             if comma < 0:
                 delim = close
             elif close < 0:
@@ -128,10 +134,9 @@ class FastForwarder:
             if delim < 0:
                 raise StreamExhaustedError("stream ended inside a primitive value", pos)
             return delim
-        quote = data.find(_QUOTE_B, pos + 1)
+        quote = data.find(_QUOTE_B, pos + 1, size)
         if quote > 0 and data[quote - 1] != _BACKSLASH:
             delim = quote + 1
-            size = self.size
             while delim < size and data[delim] in _WS:
                 delim += 1
             if delim < size and (data[delim] == _COMMA or data[delim] == closer):

@@ -37,13 +37,13 @@ from repro.engine.names import decode_name
 from repro.engine.fastforward import make_fastforwarder
 from repro.engine.output import MatchList
 from repro.engine.stats import FastForwardStats
-from repro.errors import JsonSyntaxError
+from repro.errors import JsonSyntaxError, ReproError, rebase_position
 from repro.observe import NOOP_TRACER, MetricsRegistry
 from repro.jsonpath.ast import Path
 from repro.resilience.guards import Limits, depth_error_from_recursion, effective_limits
 from repro.engine.prepared import cached_automaton
 from repro.query.automaton import ACCEPT, ALIVE, QueryAutomaton
-from repro.stream.buffer import StreamBuffer, as_stream_buffer
+from repro.stream.buffer import RecordWindows, StreamBuffer, as_stream_buffer
 from repro.stream.records import RecordStream
 
 _LBRACE, _RBRACE = 0x7B, 0x7D
@@ -68,7 +68,10 @@ class JsonSki(EngineBase):
         Scanner implementation: ``'vector'`` (default) or ``'word'``
         (paper-faithful word-at-a-time bit manipulation).
     chunk_size, cache_chunks:
-        Index chunking; see :class:`repro.bits.index.BufferIndex`.
+        Index chunking of :meth:`run` and ``repro.index``; see
+        :class:`repro.bits.index.BufferIndex`.  Record streams
+        (:meth:`record_view`) use the fixed record-window geometry of
+        :data:`repro.stream.buffer.RECORD_CHUNK_SIZE` instead.
     collect_stats:
         When true, :attr:`last_stats` carries the per-group fast-forward
         ratios of the most recent run (Table 6).
@@ -158,7 +161,7 @@ class JsonSki(EngineBase):
 
     def _buffer(self, data: bytes | str | StreamBuffer) -> StreamBuffer:
         buffer = as_stream_buffer(data, mode=self.mode, chunk_size=self.chunk_size, cache_chunks=self.cache_chunks)
-        self.limits.check_record_size(len(buffer.data))
+        self.limits.check_record_size(buffer.end - buffer.start)
         if self._observed:
             if self._tracer.enabled:
                 buffer.index.tracer = self._tracer
@@ -181,7 +184,7 @@ class JsonSki(EngineBase):
                 registry.merge(run.stats.registry)
             registry.counter("engine.runs").add(1)
             registry.counter("engine.matches").add(len(run.matches))
-            registry.counter("engine.bytes_consumed").add(run.pos)
+            registry.counter("engine.bytes_consumed").add(run.pos - buffer.start)
             index = buffer.index
             built0, evicted0, words0 = index_before
             registry.counter("index.chunks_built").add(index.chunks_built - built0)
@@ -222,12 +225,18 @@ class JsonSki(EngineBase):
             trace=trace or (observed and tracer.enabled),
             limits=self.limits,
         )
-        if observed and tracer.enabled:
-            with tracer.span("scan", engine="jsonski", bytes=len(buffer.data)) as span:
+        try:
+            if observed and tracer.enabled:
+                with tracer.span("scan", engine="jsonski", bytes=buffer.end - buffer.start) as span:
+                    matches = run.execute()
+                    span.set(matches=len(matches))
+            else:
                 matches = run.execute()
-                span.set(matches=len(matches))
-        else:
-            matches = run.execute()
+        except ReproError as exc:
+            # A record window streams at payload positions; its errors
+            # report positions within the record, as a run of its bytes would.
+            rebase_position(exc, buffer.start)
+            raise
         if observed:
             self._finish_observed(run, buffer, index_before)
         self.last_stats = run.stats
@@ -290,17 +299,36 @@ class JsonSki(EngineBase):
         """Whether the record matches at all; stops at the first hit."""
         return self.first(data) is not None
 
+    def record_view(self, stream: RecordStream):
+        """The records this engine streams for ``stream``.
+
+        The vector engine runs each record as a window over one stage-1
+        index of the whole payload (:class:`~repro.stream.buffer.RecordWindows`),
+        so matches reference the payload at payload offsets.  Word mode
+        and filter queries keep the stream itself — each record's own
+        bytes, indexed alone — the reference the windows are tested
+        against.
+        """
+        if self.mode != "vector" or self._delegate is not None:
+            return stream
+        return RecordWindows(stream)
+
     def run_records(self, stream: RecordStream) -> MatchList:
         """Stream a small-record sequence; matches accumulate in order."""
         all_matches = MatchList()
         tracer = self._tracer
         total_stats = FastForwardStats() if (self.collect_stats or self._observed) else None
-        for i in range(len(stream)):
-            if tracer.enabled:
-                with tracer.span("record", index=i):
-                    matches = self.run(stream.record(i))
-            else:
-                matches = self.run(stream.record(i))
+        records = self.record_view(stream)
+        for i in range(len(records)):
+            try:
+                if tracer.enabled:
+                    with tracer.span("record", index=i):
+                        matches = self.run(records.record(i))
+                else:
+                    matches = self.run(records.record(i))
+            except ReproError as exc:
+                exc.record_index = i
+                raise
             all_matches.extend(matches)
             if total_stats is not None and self.last_stats is not None:
                 total_stats.merge(self.last_stats)
@@ -331,7 +359,10 @@ class _Run:
         self.limits = limits
         self.deadline = limits.deadline if limits is not None else None
         self.data = buffer.data
-        self.size = len(buffer.data)
+        #: The streamed bytes are ``data[start:size]`` — one record's
+        #: window of a shared payload, or the whole buffer.
+        self.start = buffer.start
+        self.size = buffer.end
         self.ff = make_fastforwarder(buffer)
         self.matches = MatchList()
         self.stats = FastForwardStats() if collect_stats else None
@@ -375,9 +406,9 @@ class _Run:
     # -- entry ----------------------------------------------------------
 
     def execute(self) -> MatchList:
-        self.pos = self._skip_ws(0)
+        self.pos = self._skip_ws(self.start)
         if self.pos >= self.size:
-            raise JsonSyntaxError("empty input", 0)
+            raise JsonSyntaxError("empty input", self.start)
         byte = self.data[self.pos]
         state = self.qa.start_state
         try:
@@ -393,7 +424,7 @@ class _Run:
             # fires long before the interpreter stack does.
             raise depth_error_from_recursion(exc, "jsonski") from None
         if self.stats is not None:
-            self.stats.total_length = self.size
+            self.stats.total_length = self.size - self.start
         return self.matches
 
     def _emit(self, vstart: int, vend: int, key, state: int) -> None:
@@ -515,7 +546,7 @@ class _Run:
                 # Closing quote: memchr is faster than the bitmap when the
                 # preceding byte proves the quote unescaped (the common
                 # case); otherwise fall back to the unescaped-quote bitmap.
-                close = data.find(_QUOTE_B, pos + 1)
+                close = data.find(_QUOTE_B, pos + 1, self.size)
                 if close < 0:
                     raise JsonSyntaxError("unterminated attribute name", pos)
                 if data[close - 1] == _BACKSLASH:

@@ -180,6 +180,26 @@ class DeadlineExceededError(ResourceLimitError):
         self.position = position
 
 
+def rebase_position(exc: ReproError, offset: int) -> None:
+    """Shift ``exc``'s byte position (and the ``(at byte N)`` its message
+    ends with) back by ``offset``, in place.
+
+    The one place a record window's error becomes record-relative: a
+    window streams at positions in the shared payload, and its errors
+    must read exactly as a run over the record's own bytes would raise
+    them.  Errors without a byte position are left alone.
+    """
+    if not offset or not isinstance(exc, (JsonSyntaxError, DepthLimitError, DeadlineExceededError)):
+        return
+    position = exc.position
+    if position < 0:
+        return
+    exc.position = position - offset
+    message, suffix = str(exc), f" (at byte {position})"
+    if message.endswith(suffix):
+        exc.args = (f"{message[: -len(suffix)]} (at byte {position - offset})",)
+
+
 def _iter_chars(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, str]]:
     """Yield ``(byte_start, char)`` over ``data[lo:hi]``, decoding UTF-8
     one character at a time so byte offsets map exactly onto rendered

@@ -203,11 +203,12 @@ def run_with_recovery(
     values: list[list[Any] | None] = []
     failures: list[RecordFailure] = []
     aborted = False
-    for i in range(len(stream)):
+    records = engine.record_view(stream)
+    for i in range(len(records)):
         if aborted:
             values.append(None)
             continue
-        item = run_record(engine, stream.record(i), i, materialize=materialize)
+        item = run_record(engine, records.record(i), i, materialize=materialize)
         if isinstance(item, RecordFailure):
             failures.append(item)
             values.append(None)

@@ -30,6 +30,7 @@ from repro.engine.prepared import IndexedBuffer, PreparedQuery
 from repro.errors import JsonPathSyntaxError, ReproError
 from repro.jsonpath.ast import Path
 from repro.serve.errors import BadRequestError, UnknownCorpusError
+from repro.stream.buffer import RecordWindows
 from repro.stream.records import RecordStream
 
 FORMATS = ("jsonl", "json", "concatenated")
@@ -79,17 +80,22 @@ class Corpus:
     # sidecar lock if a loop-side caller ever reads it.
     def records_for(
         self, mode: str, prepared: PreparedQuery | None = None
-    ) -> _IndexedDocument | RecordStream:
+    ) -> _IndexedDocument | RecordWindows | RecordStream:
         """The record view a request running in ``mode`` should stream.
 
         Given the request's ``prepared`` engine, a ``json`` corpus's one
         record is its shared stage-1 index (:meth:`indexed`), resolved
         when the record is read — which may build the index or take the
-        sidecar's flock and mmap, so read it on the executor.
+        sidecar's flock and mmap, so read it on the executor.  A
+        ``jsonl`` or ``concatenated`` corpus's records are the engine's
+        :meth:`~repro.engine.jsonski.JsonSki.record_view`: for the vector
+        engine, windows over one bounded index of the payload, built for
+        this request by its first ``record()`` read — on the executor too.
         """
-        if self.format == "json" and prepared is not None:
+        if prepared is not None and self.format == "json":
             return _IndexedDocument(self, prepared)
-        return self.lenient_stream if mode == "lenient" else self.stream
+        stream = self.lenient_stream if mode == "lenient" else self.stream
+        return stream if prepared is None else prepared.record_view(stream)
 
     def indexed(self, prepared: PreparedQuery) -> IndexedBuffer:
         """The shared stage-1 index for a single-document corpus.

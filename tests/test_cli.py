@@ -70,6 +70,21 @@ class TestBasics:
         code, _, err = run_cli(["$.a.b", str(path)])
         assert code == 4
 
+    @pytest.mark.parametrize("extra", [[], ["--paths"], ["--engine", "pison"]])
+    def test_strict_jsonl_error_points_into_failing_record(self, tmp_path, extra):
+        bad = b'{"a": 3, "b": [1,, }'
+        path = tmp_path / "feed.jsonl"
+        path.write_bytes(b'{"b": [10]}\n{"b": [20, 21]}\n{"c": 1}\n' + bad + b'\n{"b": [5]}\n')
+        code, _, err = run_cli(["$.b[*]", str(path), "--jsonl", *extra])
+        assert code == 4
+        message, snippet, caret = err.splitlines()
+        assert message.startswith("error: record 3: ")
+        position = int(message.rsplit("(at byte ", 1)[1].rstrip(")"))
+        # The caret sits in the failing record's own bytes (an
+        # end-of-record position points at its last byte).
+        assert snippet == bad.decode()
+        assert caret.index("^") == min(position, len(bad) - 1)
+
 
 class TestModes:
     def test_jsonl(self, jsonl_file):

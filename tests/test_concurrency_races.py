@@ -149,3 +149,35 @@ class TestSharedRegistries:
         # Every thread, cold or warm, must see the same stage-1 index:
         # a duplicated build means the lock let two first-touches in.
         assert len(set(map(id, indexes))) == 1
+
+
+class TestRecordWindowRaces:
+    def test_window_runs_and_shared_index_runs_give_serial_results(self):
+        # Each run_records call builds its own stream index; the windows
+        # it hands out must not disturb (or be disturbed by) concurrent
+        # stage-2 runs over one shared IndexedBuffer.
+        import repro
+        from repro.data.datasets import large_record, record_stream
+
+        stream = record_stream("TT", 40_000, seed=5)
+        document = repro.index(large_record("TT", 120_000, seed=5))
+        record_queries = ("$.en.urls[*].url", "$.text")
+        document_queries = ("$[*].en.urls[*].url", "$[*].text")
+        expected = {
+            q: repro.compile(q).run_records(stream).to_jsonl() for q in record_queries
+        }
+        expected.update({q: repro.compile(q).run(document).to_jsonl() for q in document_queries})
+        results: dict[int, list[bytes]] = {}
+
+        def worker(i):
+            if i < 2:
+                query = record_queries[i]
+                outputs = [repro.compile(query).run_records(stream).to_jsonl() for _ in range(3)]
+            else:
+                query = document_queries[i % 2]
+                outputs = [repro.compile(query).run(document).to_jsonl() for _ in range(3)]
+            results[i] = [query, *outputs]
+
+        hammer(worker, n_threads=4)
+        for query, *outputs in results.values():
+            assert outputs == [expected[query]] * 3, query

@@ -78,3 +78,29 @@ class TestExperimentKnobs:
         assert engine.cache_chunks == 2
         other = exp._memory_engine("pison", "$.a")
         assert type(other).__name__ == "PisonLike"
+
+
+class TestPerfTrajectoryGates:
+    @staticmethod
+    def _module():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "perf_trajectory.py"
+        spec = importlib.util.spec_from_file_location("perf_trajectory_under_test", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_fig11_gate_requires_the_pison_ordering(self):
+        pt = self._module()
+        cells = {
+            "TT1": {"vector_s": 1.0, "pison_s": 0.9, "ratio": 9.0},
+            "BB1": {"vector_s": 1.0, "pison_s": 0.7, "ratio": 9.0},
+        }
+        record = {"geomean_ratio": 9.0, "queries": cells, "pison_aggregate": pt.pison_aggregate(cells)}
+        assert record["pison_aggregate"] == 0.8
+        failures = pt.check_record(11, record, tolerance=0.1)
+        assert any("vs Pison" in failure for failure in failures)
+        record["pison_aggregate"] = 1.25
+        assert not any("vs Pison" in f for f in pt.check_record(11, record, tolerance=0.1))

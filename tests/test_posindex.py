@@ -7,7 +7,7 @@ the two are alternative materializations of the same structural facts.
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.bits.classify import CharClass
@@ -117,3 +117,51 @@ class TestSingleDecode:
         first = list(chunk.positions_list(CharClass.COMMA))
         again = list(chunk.positions_list(CharClass.COMMA))
         assert first == again == [8, 12]
+
+
+class TestRecordResets:
+    """An index over a record stream resets string and depth state at
+    every record start: inside each record's window its positions,
+    quotes and depths are exactly those of the record indexed alone —
+    whatever the record before it left open (a string, an escape, a
+    brace)."""
+
+    @given(
+        st.lists(_DENSE.map(lambda b: b[:60]), min_size=1, max_size=8),
+        st.sampled_from([b"", b"\n", b" \\"]),
+        st.sampled_from([64, 128, 256]),
+    )
+    # Each state a record can leave behind, at the next record's start.
+    @example([b"ab\\", b'"{"'], b"", 64)  # an odd backslash run, then a quote
+    @example([b"a\\", b'\\"{'], b"", 64)  # a backslash run across the start
+    @example([b"a" * 63 + b"\\", b'"{"'], b"", 64)  # ... across a chunk boundary too
+    @example([b'"abc', b'{"a": [1]}'], b"\n", 64)  # an unterminated string
+    @example([b"{{[", b"}]"], b"", 64)  # unbalanced braces and brackets
+    def test_windows_see_each_record_alone(self, records, separator, chunk_size):
+        import numpy as np
+
+        from repro.stream.records import RecordStream
+
+        stream = RecordStream.from_records(records, separator=separator)
+        bounds = [(int(s), int(e)) for s, e in stream.offsets]
+        resets = np.unique([s for s, e in bounds if e > s]).astype(np.int64)
+        shared = PositionBufferIndex(stream.payload, chunk_size=chunk_size, cache_chunks=2, resets=resets)
+        for (start, end), record in zip(bounds, records):
+            alone = PositionBufferIndex(record, chunk_size=chunk_size, cache_chunks=None)
+            assert self._facts(shared, start, end) == self._facts(alone, 0, len(record)), (records, start)
+
+    @staticmethod
+    def _facts(index, lo, hi):
+        keep, quotes, pairs = [], [], []
+        for cid in range(index.n_chunks):
+            chunk = index.get(cid)
+            tables = chunk.depth_tables()
+            keep += [
+                (p - lo, v, d)
+                for p, v, d in zip(chunk.keep.tolist(), chunk.keep_vals.tolist(), tables.after)
+                if lo <= p < hi
+            ]
+            quotes += [q - lo for q in chunk.quotes.tolist() if lo <= q < hi]
+            for pair in (tables.brace, tables.bracket):
+                pairs += [(p - lo, a) for p, a in zip(pair.events, pair.after) if lo <= p < hi]
+        return keep, quotes, sorted(pairs)

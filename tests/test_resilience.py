@@ -243,6 +243,149 @@ class TestSharedRecordStep:
         assert isinstance(failure, RecordFailure)
         assert (failure.index, failure.error) == (7, "JsonSyntaxError")
 
+    # -- windowed records: one stage-1 index per stream ------------------
+    # The vector engine runs a stream's records as windows over one index
+    # of the payload; each must behave exactly as the record's own bytes
+    # run alone, down to failure messages and per-group statistics.
+
+    @pytest.mark.parametrize("chunk_size", [128, 1024, None])
+    @pytest.mark.parametrize("separator", [b"\n", b""])
+    def test_windows_match_per_record_runs_on_every_feed(self, chunk_size, separator, monkeypatch):
+        _window_chunks(monkeypatch, chunk_size)
+        for query, records in _dataset_feeds():
+            stream = RecordStream.from_records(records, separator=separator)
+            windowed = repro.JsonSki(query, collect_stats=True)
+            got = windowed.run_records(stream)
+            alone = repro.JsonSki(query, collect_stats=True)
+            expected, stats = _per_record_matches(alone, records)
+            assert got.to_jsonl() == expected.to_jsonl(), query
+            assert repro.JsonSki(query, mode="word").run_records(stream).to_jsonl() == expected.to_jsonl()
+            assert _stats(windowed.last_stats) == _stats(stats), query
+            # Window matches reference the payload at payload offsets.
+            assert all(match.source is stream.payload for match in got)
+
+    @pytest.mark.parametrize("chunk_size", [128, 1024, None])
+    @pytest.mark.parametrize("separator", [b"\n", b""])
+    def test_windows_fail_exactly_as_records_alone(self, chunk_size, separator, monkeypatch):
+        _window_chunks(monkeypatch, chunk_size)
+        records = HOSTILE_RECORDS + [m.data for m in corpus(HOSTILE_RECORDS[:3], 120, seed=11)]
+        stream = RecordStream.from_records(records, separator=separator)
+        for query in ("$.a", "$.a[*].b", "$.a.b", "$.c[1:3]", "$.c[*]"):
+            _assert_same_recovery(query, stream)
+
+    def test_windows_over_lenient_resync_gaps(self, monkeypatch):
+        _window_chunks(monkeypatch, 128)
+        payload = (
+            HOSTILE_RECORDS[0] + b' @@gap@@ {"a": {"b" 5}} ] {"a": [{"b": 3}]}'
+            b' xx {"a": {"b": 2}, "c": 1}}{"a": [1,, {"b": 4}]} {"a": "]"}'
+        )
+        stream, skipped = RecordStream.from_concatenated_lenient(payload)
+        assert len(skipped) == 4 and len(stream) == 6
+        for query in ("$.a", "$.a[*].b", "$.a.b"):
+            _assert_same_recovery(query, stream)
+
+    @pytest.mark.parametrize("offsets", [
+        [(36, 46), (0, 35)],  # descending
+        [(0, 46), (6, 26), (0, 35), (36, 46)],  # overlapping: starts inside other records
+        [(6, 26), (6, 26), (6, 6), (46, 46)],  # duplicate and empty
+        [(-10, 46), (0, 99), (40, 30), (-100, 5)],  # read as payload[start:end] slices them
+    ])
+    def test_windows_accept_any_offset_array(self, offsets, monkeypatch):
+        _window_chunks(monkeypatch, 128)
+        payload = b'{"a": {"b": "{", "c": [1]}, "d": 2} {"d": [3]}'
+        stream = RecordStream(payload, offsets)
+        for query in ("$.d", "$.a.c[0]", "$.b", "$.a.b"):
+            _assert_same_recovery(query, stream)
+
+    def test_overlapping_records_run_their_own_bytes(self):
+        payload = b' {"d": 2, "e": 0} {"d": [3]}'
+        stream = RecordStream(payload, [(1, 28), (18, 28)])
+        view = repro.JsonSki("$.d").record_view(stream)
+        assert view.record(0) == payload[1:]
+        assert (view.record(1).start, view.record(1).end) == (18, 28)
+        matches = repro.JsonSki("$.d").run_records(stream)
+        assert [m.text for m in matches] == [b"2", b"[3]"]
+        assert [m.source is payload for m in matches] == [False, True]
+        assert [m.start for m in matches] == [6, 24]
+
+    def test_windows_keep_the_per_record_size_limit(self):
+        records = [b'{"a": 1}', b'{"a": "' + b"x" * 64 + b'"}', b'{"a": 3}']
+        stream = RecordStream.from_records(records)
+        engine = repro.JsonSki("$.a", limits=Limits(max_record_bytes=32))
+        result = run_with_recovery(engine, stream)
+        assert result.values == [[1], None, [3]]
+        assert [(f.index, f.error) for f in result.failures] == [(1, "RecordTooLargeError")]
+
+#: Malformations a shared index must not carry from one record into the
+#: next: an unterminated string, a trailing backslash with no separator
+#: after it, unbalanced braces both ways, and a truncated array.
+HOSTILE_RECORDS = [
+    b'{"a": [{"b": 1}, {"b": 2}], "c": [0, 1, 2, 3]}',
+    b'{"a": "abc, "c": [1, 2]}',
+    b'{"a": "x\\',
+    b'{"a": {"b": {"c": 1}, "c": [5, 6, 7]}',
+    b'{"a": 1}}, "c": [9]}',
+    b'{"c": [1, [2, 3], {"d": 4}',
+    b"",
+    b'{"a": [{"b": "}]\\""}], "c": ["[", "]", 7]}',
+    b'  {"a": [ {"b" : 10 } ] , "c" : [ 1 , 2 ] }  ',
+    b'{{"a": {"b": 1}}, "a": [{"b": 2}]}',
+]
+
+
+def _window_chunks(monkeypatch, chunk_size):
+    if chunk_size is not None:
+        import repro.stream.buffer as stream_buffer
+
+        monkeypatch.setattr(stream_buffer, "RECORD_CHUNK_SIZE", chunk_size)
+
+
+def _dataset_feeds():
+    """``(query, records)`` for every small-record query of the six datasets."""
+    from repro.data.datasets import DATASETS, record_stream
+
+    for name, spec in DATASETS.items():
+        records = list(record_stream(name, 6000, seed=3))
+        for q in spec.queries:
+            if q.small is not None:
+                yield q.small, records
+
+
+def _per_record_matches(engine, records):
+    from repro.engine.output import MatchList
+    from repro.engine.stats import FastForwardStats
+
+    matches, stats = MatchList(), FastForwardStats()
+    for record in records:
+        matches.extend(engine.run(record))
+        stats.merge(engine.last_stats)
+    return matches, stats
+
+
+def _stats(stats):
+    return dict(stats.chars.items()), stats.total_length
+
+
+def _assert_same_recovery(query, stream):
+    """Windowed ``run_with_recovery`` against each record's bytes run alone:
+    values, lazy output bytes and every failure field."""
+    from repro.resilience.recovery import RecordFailure, run_record
+
+    engine = repro.JsonSki(query)
+    for materialize in (True, False):
+        result = run_with_recovery(engine, stream, materialize=materialize)
+        alone = [run_record(engine, stream.record(i), i, materialize=materialize) for i in range(len(stream))]
+        failures = [item for item in alone if isinstance(item, RecordFailure)]
+        values = [None if isinstance(item, RecordFailure) else item for item in alone]
+        assert result.failures == failures, query
+        if materialize:
+            assert result.values == values, query
+        else:
+            assert [v if v is None else v.to_jsonl() for v in result.values] == [
+                v if v is None else v.to_jsonl() for v in values
+            ], query
+
+
 class TestLenientBoundaries:
     def test_strict_trailing_partial_is_exhaustion(self):
         with pytest.raises(StreamExhaustedError):
